@@ -1,15 +1,38 @@
 """Functional operations: convolutions, losses, activations.
 
-Convolutions are implemented with ``numpy.lib.stride_tricks.sliding_window_view``
-plus ``einsum`` for the forward pass and hand-derived adjoints for the
-backward pass; all are verified against numerical gradients by the test
-suite.
+Convolutions are im2col products with a fixed layout.  A view exposes the
+``(N, C, L_out, K)`` windows of the input without copying them: a plain
+reshape when the windows tile the axis exactly, a strided view otherwise.
+Each of the six contractions — the forward pass and the input and weight
+adjoints of ``conv1d`` and ``conv_transpose1d`` — is then a single 2-D
+``@`` with the **weight first** (for a weight gradient, the activation or
+its windows come first).
+
+The operand order and memory layout are the ones
+``np.einsum(..., optimize=True)`` hands to ``matmul`` for the same
+contraction: C-ordered reshapes, size-1 axes dropped by a copy in the
+source's stride order (``_matrix``), and an elementwise outer product
+when nothing is summed (``_product``).  BLAS accumulation order follows
+the layout, so this gives:
+
+* results bitwise equal to the einsum formulation, forward and backward
+  (``tests/nn/test_conv_reference.py`` keeps einsum as the reference);
+* batch-size invariance: the batch index only ever lands on the column
+  axis of the right operand, so each window's result is the same bits
+  whether it is scored alone or in a batch.
+
+The obvious row-major ``cols @ W.T`` is *not* equivalent.  It changes the
+summation order (up to 6e-16 relative) and breaks batch-size invariance.
+Writing the products out also removes einsum's per-call path search and
+parsing, and the per-call ``np.pad`` and ``sliding_window_view``, which
+dominated batch-1 forwards.  The adjoints are hand-derived and checked
+against numerical gradients by the test suite.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from repro.nn.tensor import Tensor, concatenate, maximum, where
 
@@ -36,12 +59,75 @@ __all__ = [
 ]
 
 
-def _strided_windows(data: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Return sliding windows over the last axis: (..., L_out, kernel)."""
-    windows = sliding_window_view(data, kernel, axis=-1)
-    if stride > 1:
-        windows = windows[..., ::stride, :]
-    return windows
+def _pad(data: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad the last axis by ``padding`` on both sides.
+
+    Like ``np.pad``, the result is Fortran-ordered when ``data`` is only
+    Fortran-contiguous, and C-ordered otherwise.
+    """
+    if not padding:
+        return data
+    padded = np.zeros(data.shape[:-1] + (data.shape[-1] + 2 * padding,),
+                      dtype=data.dtype, order="F" if data.flags.fnc else "C")
+    padded[..., padding:-padding] = data
+    return padded
+
+
+def _windows(data: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """Windows over the last axis as a view: ``(..., L_out, kernel)``.
+
+    Window ``j`` starts at ``j * stride``.  When the windows tile the axis
+    exactly (``stride == kernel`` and the length is a multiple of it) the
+    view is a plain reshape, otherwise a strided view.  Both alias
+    ``data``, so writes through disjoint windows (``stride >= kernel``)
+    land in it.
+    """
+    length = data.shape[-1]
+    if length < kernel:
+        raise ValueError(f"input length {length} smaller than kernel {kernel}")
+    count = (length - kernel) // stride + 1
+    if stride == kernel and count * kernel == length:
+        return data.reshape(data.shape[:-1] + (count, kernel))
+    step = data.strides[-1]
+    return as_strided(data, data.shape[:-1] + (count, kernel),
+                      data.strides[:-1] + (step * stride, step))
+
+
+def _matrix(view: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """``(rows, cols)`` matmul operand in einsum's memory layout.
+
+    einsum drops size-1 axes with a copy that keeps the source's stride
+    order (``order="K"``), then reshapes.
+    """
+    if 1 in view.shape:
+        view = view.copy(order="K")
+    return view.reshape(rows, cols)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``; when the contracted size is 1, einsum's elementwise outer
+    product instead, which keeps the products' signed zeros."""
+    return a * b if a.shape[1] == 1 else a @ b
+
+
+def _overlap_add(cols: np.ndarray, length: int, stride: int) -> np.ndarray:
+    """Scatter-add ``(N, C, L_out, K)`` windows into ``(N, C, length)``.
+
+    Window ``j`` is added at ``j * stride``.  Every slot is ``0.0`` plus its
+    contributions in kernel order, so uncovered slots and ``-0.0`` inputs
+    come out as ``+0.0``.  Disjoint windows take one vectorised add
+    through a window view of the output; overlapping ones one add per
+    kernel tap.
+    """
+    out = np.zeros(cols.shape[:2] + (length,))
+    kernel = cols.shape[-1]
+    if stride >= kernel:
+        _windows(out, kernel, stride)[...] += cols
+        return out
+    positions = np.arange(cols.shape[2]) * stride
+    for k in range(kernel):
+        out[..., positions + k] += cols[..., k]
+    return out
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -58,16 +144,28 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         Optional ``(C_out,)`` bias.
     stride, padding:
         Usual convolution hyperparameters (symmetric zero padding).
+
+    With ``cols`` the ``(C_in*K, N*L_out)`` im2col matrix, the forward pass
+    is ``W(C_out, C_in*K) @ cols``, the weight gradient
+    ``cols @ grad(N*L_out, C_out)`` and the window gradient
+    ``W(C_in*K, C_out) @ grad(C_out, N*L_out)``: the products, operand
+    order and layouts of ``einsum(..., optimize=True)`` (module docstring).
     """
     if x.ndim != 3 or weight.ndim != 3:
         raise ValueError("conv1d expects x:(N,C,L) and weight:(O,C,K)")
-    kernel = weight.shape[-1]
-    padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
+    n, c_in, _ = x.shape
+    c_out, _, kernel = weight.shape
+    padded = _pad(x.data, padding)
     length = padded.shape[-1]
-    if length < kernel:
-        raise ValueError(f"input length {length} smaller than kernel {kernel}")
-    windows = _strided_windows(padded, kernel, stride)  # (N, C, L_out, K)
-    out = np.einsum("nclk,ock->nol", windows, weight.data, optimize=True)
+    # The backward closure keeps this view, not the im2col copy, alive.
+    windows = _windows(padded, kernel, stride)  # (N, C, L_out, K)
+    out_length = windows.shape[2]
+
+    def im2col():
+        return _matrix(windows.transpose(1, 3, 0, 2), c_in * kernel, n * out_length)
+
+    out = _product(_matrix(weight.data, c_out, c_in * kernel), im2col()) \
+        .reshape(c_out, n, out_length).transpose(1, 0, 2)
     if bias is not None:
         out = out + bias.data[None, :, None]
 
@@ -75,15 +173,18 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     def backward(grad):
         if weight.requires_grad:
-            weight._accumulate(np.einsum("nol,nclk->ock", grad, windows, optimize=True))
+            grad_rows = _matrix(grad.transpose(0, 2, 1), n * out_length, c_out)
+            weight._accumulate(_product(im2col(), grad_rows)
+                               .reshape(c_in, kernel, c_out).transpose(2, 0, 1))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2)))
         if x.requires_grad:
-            grad_windows = np.einsum("nol,ock->nclk", grad, weight.data, optimize=True)
-            grad_padded = np.zeros_like(padded)
-            positions = np.arange(grad.shape[-1]) * stride
-            for k in range(kernel):
-                grad_padded[..., positions + k] += grad_windows[..., k]
+            grad_cols = _product(
+                _matrix(weight.data.transpose(1, 2, 0), c_in * kernel, c_out),
+                _matrix(grad.transpose(1, 0, 2), c_out, n * out_length))
+            grad_windows = grad_cols.reshape(c_in, kernel, n, out_length) \
+                .transpose(2, 0, 3, 1)  # (N, C, L_out, K)
+            grad_padded = _overlap_add(grad_windows, length, stride)
             if padding:
                 grad_padded = grad_padded[..., padding:length - padding]
             x._accumulate(grad_padded)
@@ -102,17 +203,27 @@ def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     ``x`` has shape ``(N, C_in, L)``, ``weight`` has shape
     ``(C_in, C_out, K)`` (PyTorch layout), output length is
     ``(L - 1) * stride + K - 2 * padding``.
+
+    The per-window contributions are ``W(C_out*K, C_in) @ x(C_in, N*L)``,
+    overlap-added at stride ``stride``.  With ``gw`` the windows of the
+    (re-padded) output gradient, the input gradient is
+    ``W(C_in, C_out*K) @ gw(C_out*K, N*L)`` and the weight gradient
+    ``x(C_in, N*L) @ gw(N*L, C_out*K)``: einsum's operand order and
+    layouts again (module docstring).
     """
     if x.ndim != 3 or weight.ndim != 3:
         raise ValueError("conv_transpose1d expects x:(N,C,L) and weight:(C,O,K)")
     n, c_in, length = x.shape
     _, c_out, kernel = weight.shape
     full_length = (length - 1) * stride + kernel
-    out_full = np.zeros((n, c_out, full_length))
-    contrib = np.einsum("ncl,cok->nokl", x.data, weight.data, optimize=True)
-    positions = np.arange(length) * stride
-    for k in range(kernel):
-        out_full[..., positions + k] += contrib[..., k, :]
+
+    def x_rows():
+        return _matrix(x.data.transpose(1, 0, 2), c_in, n * length)
+
+    contrib = _product(_matrix(weight.data.transpose(1, 2, 0), c_out * kernel, c_in),
+                       x_rows())
+    contrib = contrib.reshape(c_out, kernel, n, length).transpose(2, 0, 3, 1)
+    out_full = _overlap_add(contrib, full_length, stride)  # (N, O, L_full)
     out = out_full[..., padding:full_length - padding] if padding else out_full
     if bias is not None:
         out = out + bias.data[None, :, None]
@@ -120,18 +231,16 @@ def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad):
-        grad_full = (
-            np.pad(grad, ((0, 0), (0, 0), (padding, padding))) if padding else grad
-        )
-        grad_windows = _strided_windows(grad_full, kernel, stride)  # (N, O, L, K)
+        grad_windows = _windows(_pad(grad, padding), kernel, stride)  # (N, O, L, K)
         if x.requires_grad:
-            x._accumulate(
-                np.einsum("nolk,cok->ncl", grad_windows, weight.data, optimize=True)
-            )
+            grad_cols = _matrix(grad_windows.transpose(1, 3, 0, 2),
+                                c_out * kernel, n * length)
+            x._accumulate(_product(_matrix(weight.data, c_in, c_out * kernel), grad_cols)
+                          .reshape(c_in, n, length).transpose(1, 0, 2))
         if weight.requires_grad:
-            weight._accumulate(
-                np.einsum("nolk,ncl->cok", grad_windows, x.data, optimize=True)
-            )
+            grad_rows = _matrix(grad_windows.transpose(0, 2, 1, 3),
+                                n * length, c_out * kernel)
+            weight._accumulate(_product(x_rows(), grad_rows).reshape(c_in, c_out, kernel))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2)))
 
@@ -145,7 +254,7 @@ def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 def avg_pool1d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     """Average pooling over the last axis of ``(N, C, L)``."""
     stride = kernel if stride is None else stride
-    windows = _strided_windows(x.data, kernel, stride)
+    windows = _windows(x.data, kernel, stride)
     out = windows.mean(axis=-1)
 
     def backward(grad):
@@ -165,7 +274,7 @@ def avg_pool1d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
 def max_pool1d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     """Max pooling over the last axis of ``(N, C, L)``."""
     stride = kernel if stride is None else stride
-    windows = _strided_windows(x.data, kernel, stride)
+    windows = _windows(x.data, kernel, stride)
     arg = windows.argmax(axis=-1)
     out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
 

@@ -51,6 +51,22 @@ class TestTrainer:
         errors = trainer.window_errors(unseen.service_id, windows)
         assert errors.shape == (4, 40)
 
+    def test_window_errors_bitwise_independent_of_batch_size(self, tiny_dataset):
+        """A window scores to the same bits alone (the streaming path) as
+        inside any batch, so updates can be batched without changing any
+        score.  Default config: the shapes the serving runtime runs."""
+        trainer = MaceTrainer(MaceConfig(epochs=1))
+        trainer.fit([s.service_id for s in tiny_dataset],
+                    [s.train for s in tiny_dataset])
+        service = tiny_dataset[0]
+        windows = np.stack([service.test[i:i + 40] for i in range(0, 200, 10)])
+        batched = trainer.window_errors(service.service_id, windows)
+        ragged = trainer.window_errors(service.service_id, windows, batch_size=7)
+        single = np.concatenate([
+            trainer.window_errors(service.service_id, windows[i:i + 1])
+            for i in range(len(windows))])
+        assert batched.tobytes() == ragged.tobytes() == single.tobytes()
+
 
 class TestDetector:
     def test_fit_score_roundtrip(self, tiny_dataset):

@@ -2,7 +2,7 @@
 differences on hypothesis-generated inputs."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import nn
@@ -97,9 +97,17 @@ def test_grad_odd_root_away_from_zero(seed, gamma):
     assert gradcheck(lambda a: nn.odd_root(a, gamma), [x], atol=1e-3)
 
 
+# The explicit examples pin each windowing / scatter branch: overlapping
+# windows (stride < kernel), windows that tile the padded input exactly
+# (stride == kernel, the reshape path) and windows with gaps between them
+# (stride > kernel).
 @given(seed=st.integers(0, 10_000),
-       stride=st.sampled_from([1, 2, 3]),
+       stride=st.sampled_from([1, 2, 3, 4]),
        padding=st.sampled_from([0, 1, 2]))
+@example(seed=0, stride=2, padding=1)
+@example(seed=1, stride=3, padding=1)
+@example(seed=2, stride=4, padding=0)
+@example(seed=3, stride=5, padding=2)
 def test_grad_conv1d(seed, stride, padding):
     x = _tensor((2, 3, 10), seed)
     w = _tensor((4, 3, 3), seed + 1)
@@ -110,7 +118,10 @@ def test_grad_conv1d(seed, stride, padding):
     )
 
 
-@given(seed=st.integers(0, 10_000), stride=st.sampled_from([1, 2, 3]))
+@given(seed=st.integers(0, 10_000), stride=st.sampled_from([1, 2, 3, 4]))
+@example(seed=0, stride=2)
+@example(seed=1, stride=3)
+@example(seed=2, stride=5)
 def test_grad_conv_transpose1d(seed, stride):
     x = _tensor((2, 3, 6), seed)
     w = _tensor((3, 2, 3), seed + 1)
@@ -122,8 +133,10 @@ def test_grad_conv_transpose1d(seed, stride):
 
 
 @given(seed=st.integers(0, 10_000),
-       stride=st.sampled_from([1, 2]),
+       stride=st.sampled_from([1, 2, 4, 5]),
        padding=st.sampled_from([0, 1, 2]))
+@example(seed=0, stride=4, padding=1)
+@example(seed=1, stride=5, padding=2)
 def test_grad_conv_transpose1d_padding(seed, stride, padding):
     # Padding crops the full-length output, so its backward must pad the
     # incoming gradient back before re-windowing — checked per combination.
