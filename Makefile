@@ -1,17 +1,18 @@
 # Developer entry points.  The tier-1 gate is `make check`: the repository
-# linter must be clean, the static analyzer must report nothing outside
-# its committed baseline, the full test suite must pass, and the chaos
-# (fault-injection) suite must survive its fixed seed matrix.
+# linter must be clean, the static and determinism analyzers must report
+# nothing outside their committed baselines, the full test suite must pass,
+# the chaos suites and the remediation drill must survive their fixed seed
+# matrices, and the telemetry-overhead benchmarks must stay within budget.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint analyze analyze-baseline plan-check plan-baseline \
-        det-check det-baseline test chaos chaos-train chaos-serve drill \
-        check-model obs-overhead bench-obs-trace bench-serving help
+.PHONY: check lint analyze analyze-baseline det-check det-baseline test \
+        chaos chaos-train chaos-serve drill check-model obs-overhead \
+        bench-obs-trace bench-serving help
 
-check: lint analyze plan-check det-check test chaos chaos-train \
-       chaos-serve drill obs-overhead bench-obs-trace
+check: lint analyze det-check test chaos chaos-train chaos-serve drill \
+       obs-overhead bench-obs-trace
 
 lint:
 	$(PYTHON) -m repro.analysis.lint
@@ -23,16 +24,6 @@ analyze:
 
 analyze-baseline:
 	$(PYTHON) -m repro analyze --update-baseline --baseline analysis_baseline.json
-
-# Tape-to-plan compilation of every model graph: each plan must pass its
-# machine-checked legality proof, and the OPT4xx findings must match
-# plan_baseline.json *exactly* — new findings are unreviewed regressions,
-# missing findings are silent coverage loss.
-plan-check:
-	$(PYTHON) -m repro analyze --plan --baseline plan_baseline.json
-
-plan-baseline:
-	$(PYTHON) -m repro analyze --plan --update-baseline --baseline plan_baseline.json
 
 # Determinism & effect analyzer over the repro package itself: every
 # declared determinism root must be pure modulo declared seeds.  Zero
@@ -100,12 +91,12 @@ bench-serving:
 	$(PYTHON) benchmarks/bench_serving.py
 
 help:
-	@echo "make check            - lint + analyze + tests + chaos (tier-1 gate)"
+	@echo "make check            - lint + analyze + det-check + test + chaos +"
+	@echo "                        chaos-train + chaos-serve + drill +"
+	@echo "                        obs-overhead + bench-obs-trace (tier-1 gate)"
 	@echo "make lint             - repo linter (repro.analysis.lint)"
 	@echo "make analyze          - static model-graph analyzer vs committed baseline"
 	@echo "make analyze-baseline - re-accept current analyzer warnings"
-	@echo "make plan-check       - verified execution plans vs committed OPT4xx baseline"
-	@echo "make plan-baseline    - re-snapshot the expected OPT4xx findings"
 	@echo "make det-check        - determinism/effect analyzer vs det_baseline.json"
 	@echo "make det-baseline     - re-snapshot the audited determinism findings"
 	@echo "make test             - pytest"

@@ -22,11 +22,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.dataflow import Finding, coverage, mem_coverage, propagate
+from repro.analysis.dataflow import Finding, coverage, propagate
 from repro.analysis.gradflow import audit_gradient_flow
 from repro.analysis.trace import trace
 
@@ -35,18 +35,14 @@ __all__ = [
     "available_models",
     "fingerprint",
     "load_baseline",
+    "load_fingerprints",
     "new_findings",
     "write_baseline",
-    "plan_models",
-    "load_plan_baseline",
-    "write_plan_baseline",
-    "plan_regressions",
+    "write_fingerprints",
     "BASELINE_VERSION",
-    "PLAN_BASELINE_VERSION",
 ]
 
 BASELINE_VERSION = 1
-PLAN_BASELINE_VERSION = 1
 
 _SYNTH_FEATURES = 3
 _SYNTH_BATCH = 2
@@ -84,8 +80,7 @@ def _analyze_graph(fn, inputs, module, envelope: float) -> dict:
     values, findings = propagate(graph, envelope=envelope)
     findings.extend(audit_gradient_flow(graph, values, module))
     return {"graph": graph, "findings": findings,
-            "uncovered_ops": coverage(graph),
-            "mem_uncovered_ops": mem_coverage(graph)}
+            "uncovered_ops": coverage(graph)}
 
 
 def _mace_case():
@@ -124,11 +119,6 @@ def _baseline_case(name: str):
     return fn, (windows,), model
 
 
-def _model_case(name: str):
-    """(fn, inputs, module) for one model; shared by audit and planner."""
-    return _mace_case() if name == "MACE" else _baseline_case(name)
-
-
 def available_models() -> List[str]:
     from repro.baselines import ALL_BASELINES
 
@@ -162,7 +152,8 @@ def audit_models(models: Optional[Sequence[str]] = None,
                 "seconds": 0.0,
             })
             continue
-        result = _analyze_graph(*_model_case(name), envelope)
+        case = _mace_case() if name == "MACE" else _baseline_case(name)
+        result = _analyze_graph(*case, envelope)
         for finding in result["findings"]:
             finding.model = name
             finding.file = _repo_relative(finding.file) if finding.file else ""
@@ -177,7 +168,6 @@ def audit_models(models: Optional[Sequence[str]] = None,
             "nodes": len(result["graph"].nodes),
             "findings": [f.to_dict() for f in findings],
             "uncovered_ops": result["uncovered_ops"],
-            "mem_uncovered_ops": result["mem_uncovered_ops"],
             "seconds": round(time.perf_counter() - started, 3),
         })
 
@@ -190,9 +180,6 @@ def audit_models(models: Optional[Sequence[str]] = None,
             "errors": sum(f.severity == "error" for f in active),
             "warnings": sum(f.severity == "warn" for f in active),
             "suppressed": sum(f.suppressed for f in all_findings),
-            "mem_uncovered": sum(
-                sum(m.get("mem_uncovered_ops", {}).values())
-                for m in report_models),
         },
     }
     report["_findings"] = all_findings  # live objects, stripped before JSON
@@ -200,142 +187,46 @@ def audit_models(models: Optional[Sequence[str]] = None,
 
 
 # ----------------------------------------------------------------------
-# Plan audit (``repro analyze --plan``)
+# Fingerprint baseline files
 # ----------------------------------------------------------------------
 
-def plan_models(models: Optional[Sequence[str]] = None,
-                envelope: float = 1e3) -> dict:
-    """Build and verify an :class:`ExecutionPlan` for every model.
+def load_fingerprints(path: str, key: str, version: int,
+                      kind: str) -> Dict[str, List[str]]:
+    """Read a ``{"version": ..., key: [fingerprint, ...]}`` baseline file.
 
-    Each model's forward/loss graph is traced exactly like
-    :func:`audit_models` does, then compiled with
-    :func:`repro.analysis.plan.build_plan` (verification on — a plan that
-    fails its legality proof raises instead of appearing in the report).
-    Findings are the OPT4xx optimization opportunities.
+    The one on-disk format shared by ``analysis_baseline.json``
+    (``accepted_warnings``) and ``det_baseline.json`` (``audited``);
+    ``kind`` names the gate in the version-mismatch error.
     """
-    from repro.analysis.plan import build_plan
-
-    known = available_models()
-    requested = list(models) if models else known
-    unknown = [m for m in requested if m not in known]
-    if unknown:
-        raise ValueError(f"unknown models {unknown}; available: {known}")
-
-    report_models: List[dict] = []
-    all_findings: List[Finding] = []
-    total_rewrites = 0
-    for name in requested:
-        started = time.perf_counter()
-        if name == "JumpStarter":
-            report_models.append({
-                "model": name, "skipped":
-                    "compressed-sensing baseline with no autograd graph",
-                "stats": {}, "rewrites": [], "findings": [], "seconds": 0.0,
-            })
-            continue
-        fn, inputs, module = _model_case(name)
-        graph = trace(fn, inputs=inputs, module=module)
-        plan, findings = build_plan(graph, envelope=envelope)
-        for finding in findings:
-            finding.model = name
-            finding.file = _repo_relative(finding.file) if finding.file else ""
-        findings = sorted(
-            findings,
-            key=lambda f: (f.rule, f.module_path, f.op, f.file, f.line),
-        )
-        all_findings.extend(findings)
-        total_rewrites += len(plan.rewrites)
-        report_models.append({
-            "model": name,
-            "skipped": None,
-            "stats": plan.stats(),
-            "rewrites": [r.to_dict() for r in plan.rewrites],
-            "proof": plan.proof.to_dict() if plan.proof else None,
-            "findings": [f.to_dict() for f in findings],
-            "seconds": round(time.perf_counter() - started, 3),
-        })
-
-    active = [f for f in all_findings if not f.suppressed]
-    report = {
-        "version": PLAN_BASELINE_VERSION,
-        "envelope": envelope,
-        "models": report_models,
-        "summary": {
-            "findings": len(active),
-            "rewrites": total_rewrites,
-            "suppressed": sum(f.suppressed for f in all_findings),
-        },
-    }
-    report["_findings"] = all_findings  # live objects, stripped before JSON
-    return report
-
-
-def load_plan_baseline(path: str) -> Dict[str, List[str]]:
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    if data.get("version") != PLAN_BASELINE_VERSION:
+    if data.get("version") != version:
         raise ValueError(
-            f"plan baseline {path} has version {data.get('version')}, "
-            f"expected {PLAN_BASELINE_VERSION}")
-    return {"expected": list(data.get("expected", []))}
+            f"{kind} baseline {path} has version {data.get('version')}, "
+            f"expected {version}")
+    return {key: list(data.get(key, []))}
 
 
-def write_plan_baseline(path: str, report: dict) -> None:
-    """Snapshot every current unsuppressed OPT4xx fingerprint."""
-    expected = sorted({
-        fingerprint(f) for f in report["_findings"] if not f.suppressed
-    })
-    payload = {"version": PLAN_BASELINE_VERSION, "expected": expected}
+def write_fingerprints(path: str, key: str, version: int,
+                       findings: Iterable[Finding]) -> None:
+    """Write the sorted, de-duplicated fingerprints of ``findings``."""
+    payload = {"version": version,
+               key: sorted({fingerprint(f) for f in findings})}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
-def plan_regressions(report: dict,
-                     baseline: Optional[Dict[str, List[str]]] = None,
-                     ) -> Tuple[List[Finding], List[str]]:
-    """Symmetric difference against the plan baseline.
-
-    Returns ``(new, missing)``: *new* findings are unreviewed optimization
-    opportunities (someone added a copy pair / dead code); *missing*
-    fingerprints mean an expected opportunity disappeared — either it was
-    genuinely fixed (update the baseline) or an analysis pass silently
-    lost coverage, which must not pass unnoticed.
-    """
-    expected = set(baseline["expected"]) if baseline else set()
-    current: Dict[str, Finding] = {}
-    for finding in report["_findings"]:
-        if not finding.suppressed:
-            current.setdefault(fingerprint(finding), finding)
-    new = [f for fp, f in sorted(current.items()) if fp not in expected]
-    missing = sorted(expected - set(current))
-    return new, missing
-
-
-# ----------------------------------------------------------------------
-# Baseline (accepted-findings) file handling
-# ----------------------------------------------------------------------
-
 def load_baseline(path: str) -> Dict[str, List[str]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if data.get("version") != BASELINE_VERSION:
-        raise ValueError(
-            f"analyzer baseline {path} has version {data.get('version')}, "
-            f"expected {BASELINE_VERSION}")
-    return {"accepted_warnings": list(data.get("accepted_warnings", []))}
+    return load_fingerprints(path, "accepted_warnings", BASELINE_VERSION,
+                             "analyzer")
 
 
 def write_baseline(path: str, report: dict) -> None:
     """Accept every current unsuppressed warning; errors are never accepted."""
-    warnings = sorted({
-        fingerprint(f) for f in report["_findings"]
-        if not f.suppressed and f.severity == "warn"
-    })
-    payload = {"version": BASELINE_VERSION, "accepted_warnings": warnings}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_fingerprints(path, "accepted_warnings", BASELINE_VERSION, (
+        f for f in report["_findings"]
+        if not f.suppressed and f.severity == "warn"))
 
 
 def new_findings(report: dict,

@@ -38,8 +38,7 @@ from repro.analysis.domains import Interval
 from repro.analysis.trace import Graph, GraphNode
 from repro.nn.opinfo import DF_RULES, OpContext, transfer
 
-__all__ = ["Finding", "propagate", "abstract_values", "coverage",
-           "mem_coverage", "SUPPRESS_MARKER"]
+__all__ = ["Finding", "propagate", "coverage", "SUPPRESS_MARKER"]
 
 SUPPRESS_MARKER = "# analyzer: ok"
 _MARKER_RE = re.compile(
@@ -117,42 +116,6 @@ def _finding_from_issue(node: GraphNode, code: str, message: str) -> Finding:
     )
 
 
-def abstract_values(steps, envelope: float = 1e3, on_op=None
-                    ) -> List[Interval]:
-    """Interval interpretation over any topologically ordered step list.
-
-    ``steps`` is a sequence of objects exposing ``kind``, ``op``,
-    ``parents`` (indices into the same sequence), ``attrs``, ``shape``,
-    ``frames`` and ``envelope`` — both :class:`~repro.analysis.trace.Graph`
-    node lists and :class:`~repro.analysis.plan.PlanStep` lists qualify,
-    which is what lets the plan verifier interpret the original graph and
-    the rewritten plan with the *same* semantics.  ``on_op(step, ctx)`` is
-    called after each op transfer so :func:`propagate` can harvest issues.
-    """
-    if envelope <= 0:
-        raise ValueError("input envelope must be positive")
-    input_interval = Interval(-float(envelope), float(envelope))
-    values: List[Interval] = []
-    for step in steps:
-        if step.kind == "input":
-            values.append(input_interval)
-            continue
-        if step.kind != "op":
-            values.append(step.envelope or Interval.unbounded())
-            continue
-        ins = [values[p] for p in step.parents]
-        shapes = [steps[p].shape for p in step.parents]
-        same = len(step.parents) == 2 and step.parents[0] == step.parents[1]
-        ctx = OpContext(step.op, ins, step.attrs, shapes, step.shape,
-                        same_input=same)
-        value = transfer(ctx)
-        asserted = _asserted_range(step) if step.frames else None
-        values.append(asserted if asserted is not None else value)
-        if on_op is not None:
-            on_op(step, ctx)
-    return values
-
-
 def propagate(graph: Graph, envelope: float = 1e3
               ) -> Tuple[List[Interval], List[Finding]]:
     """Assign an interval to every node; return (values, findings).
@@ -160,13 +123,29 @@ def propagate(graph: Graph, envelope: float = 1e3
     ``values[i]`` is the abstract value of ``graph.nodes[i]``; findings
     include suppressed ones (filter on ``Finding.suppressed``).
     """
+    if envelope <= 0:
+        raise ValueError("input envelope must be positive")
+    input_interval = Interval(-float(envelope), float(envelope))
+    nodes = graph.nodes
+    values: List[Interval] = []
     findings: List[Finding] = []
-
-    def collect(node: GraphNode, ctx) -> None:
+    for node in nodes:
+        if node.kind == "input":
+            values.append(input_interval)
+            continue
+        if node.kind != "op":
+            values.append(node.envelope or Interval.unbounded())
+            continue
+        ins = [values[p] for p in node.parents]
+        shapes = [nodes[p].shape for p in node.parents]
+        same = len(node.parents) == 2 and node.parents[0] == node.parents[1]
+        ctx = OpContext(node.op, ins, node.attrs, shapes, node.shape,
+                        same_input=same)
+        value = transfer(ctx)
+        asserted = _asserted_range(node) if node.frames else None
+        values.append(asserted if asserted is not None else value)
         for code, message in ctx.issues:
             findings.append(_finding_from_issue(node, code, message))
-
-    values = abstract_values(graph.nodes, envelope, on_op=collect)
     return values, findings
 
 
@@ -180,19 +159,3 @@ def coverage(graph: Graph) -> Dict[str, int]:
             missing[node.op] = missing.get(node.op, 0) + 1
     return missing
 
-
-def mem_coverage(graph) -> Dict[str, int]:
-    """Ops with no memory/alias metadata in ``repro.nn.opinfo.MEM_INFO``.
-
-    Unlike :func:`coverage` (missing transfers degrade to a sound
-    fallback), a missing ``MEM_INFO`` entry makes *alias* reasoning
-    impossible, so ``repro analyze`` treats any hit here as a hard error
-    (the opinfo completeness gate) rather than a warning.
-    """
-    from repro.nn.opinfo import mem_info
-
-    missing: Dict[str, int] = {}
-    for node in graph.nodes:
-        if node.kind == "op" and mem_info(node.op) is None:
-            missing[node.op] = missing.get(node.op, 0) + 1
-    return missing

@@ -90,18 +90,6 @@ class Interval:
         return max(abs(self.lo), abs(self.hi))
 
     # -- lattice -------------------------------------------------------
-    def contains(self, other: "Interval") -> bool:
-        """Lattice order: ``other`` refines (is contained in) ``self``.
-
-        Used by the plan verifier: a rewritten graph is legal only when
-        every rewritten value's abstract semantics are at least as precise
-        as the original's — wider bounds or a new ``may_nan`` flag mean the
-        rewrite changed what the op can compute.
-        """
-        if other.may_nan and not self.may_nan:
-            return False
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def union(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi),
                         self.may_nan or other.may_nan)

@@ -439,8 +439,8 @@ def _walk_function(node: ast.AST):
     """All nodes of a function, including nested defs, excluding classes.
 
     Nested functions (closures) are treated as part of the enclosing
-    function's extent — e.g. ``execute_plan``'s inner ``run`` helper —
-    because they execute inside its dynamic extent.
+    function's extent — e.g. ``trace._module_paths``'s inner ``walk``
+    helper — because they execute inside its dynamic extent.
     """
     stack = list(ast.iter_child_nodes(node))
     while stack:

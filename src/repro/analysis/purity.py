@@ -38,9 +38,13 @@ DET508    (structural)    error   stale or malformed ``# effects: ok``
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.audit import (
+    fingerprint,
+    load_fingerprints,
+    write_fingerprints,
+)
 from repro.analysis.dataflow import Finding
 from repro.analysis.effects import EffectSite, RepoModel, analyze_package
 
@@ -65,8 +69,6 @@ DETERMINISM_ROOTS: Tuple[str, ...] = (
     "repro.runtime.serving.ServingRuntime.update",
     "repro.runtime.orchestrator.FleetOrchestrator.run",
     "repro.runtime.remediation.drill.run_drill",
-    "repro.analysis.plan.build_plan",
-    "repro.analysis.plan.execute_plan",
 )
 
 _ATOM_RULES: Dict[str, Tuple[str, str, str]] = {
@@ -207,31 +209,15 @@ def effects_report(model: Optional[RepoModel] = None,
 # Baseline handling (det_baseline.json)
 # ----------------------------------------------------------------------
 
-def _det_fingerprint(finding: Finding) -> str:
-    from repro.analysis.audit import fingerprint
-
-    return fingerprint(finding)
-
-
 def load_det_baseline(path: str) -> Dict[str, List[str]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if data.get("version") != DET_BASELINE_VERSION:
-        raise ValueError(
-            f"determinism baseline {path} has version "
-            f"{data.get('version')}, expected {DET_BASELINE_VERSION}")
-    return {"audited": list(data.get("audited", []))}
+    return load_fingerprints(path, "audited", DET_BASELINE_VERSION,
+                             "determinism")
 
 
 def write_det_baseline(path: str, report: dict) -> None:
     """Snapshot every audited (suppressed) finding fingerprint."""
-    audited = sorted({
-        _det_fingerprint(f) for f in report["_findings"] if f.suppressed
-    })
-    payload = {"version": DET_BASELINE_VERSION, "audited": audited}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_fingerprints(path, "audited", DET_BASELINE_VERSION,
+                       (f for f in report["_findings"] if f.suppressed))
 
 
 def det_regressions(report: dict,
@@ -253,7 +239,7 @@ def det_regressions(report: dict,
     current: Dict[str, Finding] = {}
     for finding in report["_findings"]:
         if finding.suppressed:
-            current.setdefault(_det_fingerprint(finding), finding)
+            current.setdefault(fingerprint(finding), finding)
     new_audited = [f for fp, f in sorted(current.items())
                    if fp not in expected]
     vanished = sorted(expected - set(current))

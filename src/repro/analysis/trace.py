@@ -88,8 +88,6 @@ class Graph:
         # id(tensor) -> node index; valid while _keepalive pins the tensors.
         self.tensor_index: Dict[int, int] = {}
         self._keepalive: List[Tensor] = []
-        # node index -> tensor, for replaying leaves with traced values.
-        self._node_tensor: Dict[int, Tensor] = {}
 
     def add(self, node: GraphNode) -> GraphNode:
         self.nodes.append(node)
@@ -99,26 +97,12 @@ class Graph:
     def loss_index(self) -> Optional[int]:
         return self.outputs[0] if self.outputs else None
 
-    def node_for(self, t: Tensor) -> Optional[GraphNode]:
-        index = self.tensor_index.get(id(t))
-        return self.nodes[index] if index is not None else None
-
     def consumer_counts(self) -> List[int]:
         counts = [0] * len(self.nodes)
         for node in self.nodes:
             for parent in node.parents:
                 counts[parent] += 1
         return counts
-
-    def concrete(self, index: int):
-        """Concrete traced array of node ``index`` (``None`` if unknown).
-
-        Valid for the lifetime of the graph: ``_keepalive`` pins every
-        traced tensor, so the returned array is exactly the one the
-        original run produced.
-        """
-        tensor = self._node_tensor.get(index)
-        return tensor.data if tensor is not None else None
 
     def ancestors(self, index: int) -> Set[int]:
         """All node indices reachable backwards from ``index`` (inclusive)."""
@@ -266,7 +250,6 @@ def trace(fn: Callable[[], object], inputs: Sequence[Tensor] = (),
             module_path=current_path(), name=name, envelope=envelope,
         ))
         graph.tensor_index[id(t)] = node.index
-        graph._node_tensor[node.index] = t
         graph._keepalive.append(t)
         return node
 
@@ -282,7 +265,6 @@ def trace(fn: Callable[[], object], inputs: Sequence[Tensor] = (),
             module_path=current_path(), frames=_capture_frames(),
         ))
         graph.tensor_index[id(out)] = node.index
-        graph._node_tensor[node.index] = out
         graph._keepalive.append(out)
 
     register_op_hook(hook)

@@ -11,10 +11,6 @@ Commands
 ``analyze``
     Static analyzer: abstract interpretation of the MACE and baseline
     model graphs (numerical-domain findings + gradient-flow audit).
-    With ``--plan``, compiles each traced graph into a verified
-    :class:`~repro.analysis.plan.ExecutionPlan` and reports OPT4xx
-    optimization findings (redundant copy pairs, dead subgraphs, fusable
-    chains, rematerializable workspaces, cacheable constants).
     With ``--effects``, runs the determinism & effect analyzer over the
     ``repro`` package itself (DET5xx contract findings, FS6xx
     fork-safety findings) and gates against ``det_baseline.json``.
@@ -104,9 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--effects", action="store_true",
                          help="determinism & effect analysis of the repro "
                               "package itself (DET5xx/FS6xx findings)")
-    analyze.add_argument("--plan", action="store_true",
-                         help="build + verify execution plans and report "
-                              "OPT4xx optimization findings")
 
     analyze_data = sub.add_parser("analyze-data", help="dataset diagnostics")
     _add_dataset_args(analyze_data)
@@ -357,17 +350,11 @@ def _cmd_analyze(args) -> int:
 
     if args.effects:
         return _cmd_analyze_effects(args)
-    if args.plan:
-        return _cmd_analyze_plan(args)
     try:
         report = audit.audit_models(args.models, envelope=args.envelope)
     except ValueError as error:
         _out(str(error), file=sys.stderr)
         return 2
-    mem_missing = {}
-    for entry in report["models"]:
-        for op, count in entry.get("mem_uncovered_ops", {}).items():
-            mem_missing[op] = mem_missing.get(op, 0) + count
     if args.update_baseline:
         path = args.baseline or "analysis_baseline.json"
         audit.write_baseline(path, report)
@@ -387,7 +374,7 @@ def _cmd_analyze(args) -> int:
                    if not key.startswith("_")}
         payload["failing"] = [audit.fingerprint(f) for f in failing]
         _out(json.dumps(payload, indent=2, sort_keys=True))
-        return 1 if failing or mem_missing else 0
+        return 1 if failing else 0
     from repro.eval import format_table
 
     rows = [(m["model"],
@@ -406,18 +393,9 @@ def _cmd_analyze(args) -> int:
         _out(f"{finding.severity.upper()} {finding.rule} "
               f"[{finding.model} :: {finding.module_path} :: {finding.op}] "
               f"{location}\n    {finding.message}")
-    if mem_missing:
-        # The opinfo completeness gate: alias/plan reasoning is impossible
-        # for ops without MEM_INFO, so this is a hard error, not a warning.
-        for op in sorted(mem_missing):
-            _out(f"ERROR OPINFO-COVERAGE op '{op}' was traced "
-                 f"{mem_missing[op]} time(s) but has no MEM_INFO entry in "
-                 "repro.nn.opinfo; register its memory/alias metadata",
-                 file=sys.stderr)
-    if failing or mem_missing:
-        if failing:
-            _out(f"{len(failing)} finding(s) not covered by the baseline",
-                  file=sys.stderr)
+    if failing:
+        _out(f"{len(failing)} finding(s) not covered by the baseline",
+              file=sys.stderr)
         return 1
     _out("analysis clean: no findings outside the baseline")
     return 0
@@ -486,76 +464,6 @@ def _cmd_analyze_effects(args) -> int:
     summary = report["summary"]
     _out(f"determinism contract holds: {summary['audited']} audited "
           "finding(s), zero unaudited, baseline matches exactly")
-    return 0
-
-
-def _cmd_analyze_plan(args) -> int:
-    import json
-
-    from repro.analysis import audit
-    from repro.analysis.alias import MemCoverageError
-    from repro.analysis.plan import PlanError
-
-    try:
-        report = audit.plan_models(args.models, envelope=args.envelope)
-    except ValueError as error:
-        _out(str(error), file=sys.stderr)
-        return 2
-    except (MemCoverageError, PlanError) as error:
-        _out(f"plan construction failed: {error}", file=sys.stderr)
-        return 2
-    if args.update_baseline:
-        path = args.baseline or "plan_baseline.json"
-        audit.write_plan_baseline(path, report)
-        expected = audit.load_plan_baseline(path)["expected"]
-        _out(f"wrote {path} ({len(expected)} expected findings)")
-        return 0
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = audit.load_plan_baseline(args.baseline)
-        except (OSError, ValueError) as error:
-            _out(f"cannot read plan baseline: {error}", file=sys.stderr)
-            return 2
-    new, missing = audit.plan_regressions(report, baseline)
-    if args.json:
-        payload = {key: value for key, value in report.items()
-                   if not key.startswith("_")}
-        payload["new"] = [audit.fingerprint(f) for f in new]
-        payload["missing"] = missing
-        _out(json.dumps(payload, indent=2, sort_keys=True))
-        return 1 if new or missing else 0
-    from repro.eval import format_table
-
-    rows = []
-    for entry in report["models"]:
-        if entry["skipped"]:
-            rows.append((entry["model"], "skipped", "", "", "", ""))
-            continue
-        stats = entry["stats"]
-        saved = stats["naive_bytes"] - stats["pool_bytes"]
-        rows.append((entry["model"], stats["ops"], stats["rewrites"],
-                     len(entry["findings"]), stats["pool_bytes"],
-                     f"{100.0 * saved / max(stats['naive_bytes'], 1):.0f}%"))
-    _out(format_table(("model", "plan ops", "rewrites", "findings",
-                        "pool bytes", "mem saved"), rows,
-                       title="execution plans (verified against the "
-                             "interval domain)"))
-    for finding in new:
-        location = (f"{finding.file}:{finding.line}" if finding.file
-                    else "<graph>")
-        _out(f"{finding.severity.upper()} {finding.rule} "
-              f"[{finding.model} :: {finding.module_path} :: {finding.op}] "
-              f"{location}\n    {finding.message}")
-    for fp in missing:
-        _out(f"MISSING {fp}\n    expected by the plan baseline but no "
-              "longer reported (fixed? run --update-baseline; analysis "
-              "regression? investigate)")
-    if new or missing:
-        _out(f"{len(new)} new / {len(missing)} missing plan finding(s) vs "
-              "the baseline", file=sys.stderr)
-        return 1
-    _out("plans verified: findings match the baseline exactly")
     return 0
 
 

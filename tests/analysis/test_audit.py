@@ -64,6 +64,11 @@ class TestBaselinePolicy:
             fingerprint(report["_findings"][0])
         ]
 
+    def test_rewrite_reproduces_committed_baseline(self, tmp_path):
+        path = tmp_path / "analysis_baseline.json"
+        write_baseline(str(path), audit_models())
+        assert path.read_bytes() == BASELINE_PATH.read_bytes()
+
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "baseline.json"
         path.write_text(json.dumps(

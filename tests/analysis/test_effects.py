@@ -451,6 +451,13 @@ class TestRealRepository:
         unaudited, new, vanished = det_regressions(repo_report, baseline)
         assert (unaudited, new, vanished) == ([], [], [])
 
+    def test_rewrite_reproduces_committed_baseline(self, repo_report,
+                                                   tmp_path):
+        path = tmp_path / "det_baseline.json"
+        write_det_baseline(str(path), repo_report)
+        with open("det_baseline.json", "rb") as handle:
+            assert path.read_bytes() == handle.read()
+
     def test_report_is_byte_identical_across_runs(self, repo_report):
         # the analyzer must pass its own determinism bar: no timing, no
         # hash-order dependence anywhere in the report path
