@@ -2,17 +2,20 @@
 # linter must be clean, the static and determinism analyzers must report
 # nothing outside their committed baselines, the full test suite must pass,
 # the chaos suites and the remediation drill must survive their fixed seed
-# matrices, and the telemetry-overhead benchmarks must stay within budget.
+# matrices, and the disabled-path telemetry overhead must stay within its
+# effective budget, max(3%, 10 ms / baseline).  `make check` measures
+# without writing any tracked file.  Performance is measured by
+# `make bench`, which is kept out of `check`.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: check lint analyze analyze-baseline det-check det-baseline test \
         chaos chaos-train chaos-serve drill check-model obs-overhead \
-        bench-obs-trace bench-serving help
+        bench bench-serving help
 
 check: lint analyze det-check test chaos chaos-train chaos-serve drill \
-       obs-overhead bench-obs-trace
+       obs-overhead
 
 lint:
 	$(PYTHON) -m repro.analysis.lint
@@ -72,17 +75,20 @@ check-model:
 	$(PYTHON) -m repro check-model
 
 # Telemetry overhead gate: the instrumented (tracing-disabled, default)
-# seeded 2-epoch trainer run must stay within 3% of the span-stripped
-# baseline; also refreshes BENCH_obs.json (the perf-trajectory point).
+# seeded 2-epoch trainer run, over 7 paired rounds (median of per-round
+# differences), must stay within 3% of the span-stripped baseline or
+# within 10 ms of it — an effective budget of max(3%, 10 ms / baseline),
+# which the verdict line prints.  Writes no file.
 obs-overhead:
 	$(PYTHON) benchmarks/bench_obs_overhead.py
 
-# Trace-propagation benchmark: re-verifies the <3% disabled-path gate
-# with the propagation code in place (reduced rounds) and records the
-# per-op cost of the trace primitives into BENCH_obs.json's "trace"
-# section.
-bench-obs-trace:
-	$(PYTHON) benchmarks/bench_obs_trace.py
+# The performance entry point (not part of `check`): the train, score and
+# stream workloads on the real MACE model, 3 runs each, compared against
+# the committed benchmarks/suite/baseline.json.
+bench:
+	@mkdir -p .bench_build
+	$(PYTHON) benchmarks/suite/run.py --runs 3 --out .bench_build/bench.json
+	$(PYTHON) benchmarks/suite/run.py --compare benchmarks/suite/baseline.json .bench_build/bench.json
 
 # Serving-gateway throughput/latency benchmark: >=8 services over >=2
 # workers with >=30% injected faults; refreshes BENCH_serving.json (p50/
@@ -93,7 +99,7 @@ bench-serving:
 help:
 	@echo "make check            - lint + analyze + det-check + test + chaos +"
 	@echo "                        chaos-train + chaos-serve + drill +"
-	@echo "                        obs-overhead + bench-obs-trace (tier-1 gate)"
+	@echo "                        obs-overhead (tier-1 gate)"
 	@echo "make lint             - repo linter (repro.analysis.lint)"
 	@echo "make analyze          - static model-graph analyzer vs committed baseline"
 	@echo "make analyze-baseline - re-accept current analyzer warnings"
@@ -105,6 +111,6 @@ help:
 	@echo "make chaos-serve      - serving-gateway chaos suite (loss-free failover)"
 	@echo "make drill            - closed-loop remediation drill gate (>=90% converge)"
 	@echo "make check-model      - static MACE shape/dtype contract check"
-	@echo "make obs-overhead     - telemetry overhead gate (<3% disabled-path cost)"
-	@echo "make bench-obs-trace  - trace-propagation bench + overhead gate re-verify"
+	@echo "make obs-overhead     - telemetry overhead gate (max(3%, 10 ms/baseline))"
+	@echo "make bench            - MACE benchmark suite vs committed baseline"
 	@echo "make bench-serving    - gateway throughput/latency benchmark (BENCH_serving.json)"

@@ -191,7 +191,9 @@ def read_events(path: str | Path,
     """Stream records back from a JSONL event file.
 
     Blank and torn (undecodable) lines are skipped: an append-only log
-    written through a crash is still readable up to the tear.
+    written through a crash is still readable up to the tear.  With no
+    ``kind`` every record is yielded, which makes this the one JSONL
+    reader of :mod:`repro.obs` (spans and metrics snapshots use it too).
     """
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:

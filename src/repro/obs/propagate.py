@@ -38,6 +38,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
+from repro.obs.events import read_events
+
 __all__ = [
     "WIRE_SCHEMA",
     "TraceContext",
@@ -176,18 +178,11 @@ def _jsonable(value: object) -> object:
 def read_trace_spans(path: str | Path) -> Iterator[dict]:
     """Stream span dicts back from a ``spans.jsonl`` file.
 
-    Blank and torn (undecodable) lines are skipped, so a log written
+    Blank and torn (undecodable) lines are skipped by the shared
+    :func:`~repro.obs.events.read_events` reader, so a log written
     through a worker kill is readable up to the tear.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError:
-                continue
+    return read_events(path)
 
 
 def build_trace_tree(spans: List[dict], trace_id: str) -> List[dict]:

@@ -88,14 +88,14 @@ def _load_flat(directory: Path, telemetry: RunTelemetry,
             telemetry.group_events[group] = records
     metrics_path = directory / "metrics.jsonl"
     if metrics_path.is_file():
-        # Same torn-write stance as read_events: a crash mid-dump tears
-        # at most the final line, and the report must still render.
-        snapshots = [record for record in _read_jsonl(metrics_path)
+        # read_events skips torn lines: a crash mid-dump tears at most
+        # the final line, and the report must still render.
+        snapshots = [record for record in read_events(metrics_path)
                      if isinstance(record, dict)]
         telemetry.metrics.merge(MetricsRegistry.from_snapshot(snapshots))
     spans_path = directory / "spans.jsonl"
     if spans_path.is_file():
-        telemetry.spans.extend(record for record in _read_jsonl(spans_path)
+        telemetry.spans.extend(record for record in read_events(spans_path)
                                if isinstance(record, dict))
     result_path = directory / "result.json"
     if group is not None and result_path.is_file():
@@ -104,20 +104,6 @@ def _load_flat(directory: Path, telemetry: RunTelemetry,
                 result_path.read_text(encoding="utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError):
             pass
-
-
-def _read_jsonl(path: Path) -> List[object]:
-    """Decode a JSONL file, skipping blank and torn (undecodable) lines."""
-    records: List[object] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue
-    return records
 
 
 # ----------------------------------------------------------------------

@@ -207,35 +207,10 @@ class ServingRuntime:
         """
         self._listeners.append(listener)
 
-    def health_states(self, detail: bool = False) -> Dict[str, object]:
-        """Current state of every service (fleet dashboard view).
-
-        With ``detail=True`` each service maps to a telemetry dict —
-        state, transition count, total failures, and the update-latency
-        quantiles from the per-service histogram — instead of the bare
-        :class:`HealthState`.
-        """
-        if not detail:
-            return {service_id: health.state
-                    for service_id, health in self._health.items()}
-        view: Dict[str, object] = {}
-        for service_id, health in self._health.items():
-            histogram = self._latency[service_id]
-            view[service_id] = {
-                "state": health.state,
-                "transitions": health.transition_count,
-                "ticks_in_state": health.ticks_in_state,
-                "last_transition_tick": health.last_transition_tick,
-                "total_failures": health.total_failures,
-                "updates": histogram.count,
-                "update_seconds": {
-                    "mean": histogram.mean,
-                    "p50": histogram.quantile(0.5),
-                    "p99": histogram.quantile(0.99),
-                    "max": histogram.max if histogram.count else None,
-                },
-            }
-        return view
+    def health_states(self) -> Dict[str, HealthState]:
+        """Current state of every service (fleet dashboard view)."""
+        return {service_id: health.state
+                for service_id, health in self._health.items()}
 
     # ------------------------------------------------------------------
     # The loop
