@@ -94,9 +94,6 @@ class Interval:
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi),
                         self.may_nan or other.may_nan)
 
-    def widen_nan(self) -> "Interval":
-        return Interval(self.lo, self.hi, True)
-
     # -- arithmetic transfer functions ---------------------------------
     def add(self, other: "Interval") -> "Interval":
         return Interval(self.lo + other.lo, self.hi + other.hi,

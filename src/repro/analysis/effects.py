@@ -70,6 +70,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.lint import ALLOWED_NP_RANDOM, ALLOWED_STD_RANDOM
+
 __all__ = [
     "ATOMS",
     "FORK_ATOMS",
@@ -107,14 +109,6 @@ _TIME_REFS = frozenset({
     "datetime.datetime.now", "datetime.datetime.utcnow",
     "datetime.datetime.today", "datetime.date.today",
 })
-
-# ``np.random`` attributes that construct seeded generators rather than
-# draw from the hidden global stream (mirrors lint REP101).
-_ALLOWED_NP_RANDOM = frozenset({
-    "default_rng", "Generator", "SeedSequence", "BitGenerator",
-    "PCG64", "Philox", "SFC64", "MT19937",
-})
-_ALLOWED_STD_RANDOM = frozenset({"Random", "SystemRandom"})
 
 _SEEDED_CONSTRUCTORS = frozenset({
     "numpy.random.default_rng", "numpy.random.Generator",
@@ -414,25 +408,6 @@ def _collect_imports(nodes: Sequence[ast.stmt], module_qname: str,
                 if item.name == "*":
                     continue
                 out[item.asname or item.name] = f"{base}.{item.name}"
-
-
-def _iter_scope_statements(body: Sequence[ast.stmt]):
-    """Statements of one scope, not descending into nested def/class."""
-    stack = list(body)
-    while stack:
-        node = stack.pop(0)
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            continue
-        for child_field in ("body", "orelse", "finalbody", "handlers"):
-            children = getattr(node, child_field, None)
-            if isinstance(children, list):
-                for child in children:
-                    if isinstance(child, ast.ExceptHandler):
-                        stack.extend(child.body)
-                    elif isinstance(child, ast.stmt):
-                        stack.append(child)
 
 
 def _walk_function(node: ast.AST):
@@ -1017,13 +992,13 @@ class _Analyzer:
                 add_site("RNG_SEEDED", node, f"constructs {resolved}")
                 return
             tail = resolved.split(".", 2)[2]
-            if "." not in tail and tail not in _ALLOWED_NP_RANDOM:
+            if "." not in tail and tail not in ALLOWED_NP_RANDOM:
                 add_site("RNG_GLOBAL", node,
                          f"np.random.{tail} draws from the hidden "
                          "global stream")
         elif resolved.startswith("random."):
             tail = resolved.split(".", 1)[1]
-            if "." not in tail and tail not in _ALLOWED_STD_RANDOM:
+            if "." not in tail and tail not in ALLOWED_STD_RANDOM:
                 add_site("RNG_GLOBAL", node,
                          f"random.{tail} draws from the hidden "
                          "global stream")

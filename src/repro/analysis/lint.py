@@ -158,9 +158,12 @@ RULES = {
 }
 
 # np.random attributes that are constructors of seeded generators, not
-# draws from the hidden global stream.
-ALLOWED_NP_RANDOM = {"default_rng", "Generator", "SeedSequence", "BitGenerator",
-                     "PCG64", "Philox", "SFC64", "MT19937"}
+# draws from the hidden global stream.  The effect analyzer imports this
+# table and ALLOWED_STD_RANDOM, so REP101/REP112 and its RNG_GLOBAL sites
+# agree on what counts as a draw.
+ALLOWED_NP_RANDOM = frozenset({"default_rng", "Generator", "SeedSequence",
+                               "BitGenerator", "PCG64", "Philox", "SFC64",
+                               "MT19937"})
 
 # Files allowed to assign to ``<tensor>.data``: the autograd engine itself,
 # in-place parameter updates, state loading, and numerical perturbation.
@@ -620,7 +623,7 @@ def _check_remediation_actions(tree: ast.AST, path: str,
 
 # stdlib random attributes that construct independent streams rather
 # than draw from the hidden module-global one.
-ALLOWED_STD_RANDOM = {"Random", "SystemRandom"}
+ALLOWED_STD_RANDOM = frozenset({"Random", "SystemRandom"})
 
 
 def _check_bare_std_random(tree: ast.AST, path: str,

@@ -13,8 +13,8 @@ Each op node records:
 * parent node indices (preserving object identity, so ``x * x`` is
   distinguishable from a product of two equal-valued tensors),
 * the concrete output shape of the traced run,
-* the dotted module path active when the op ran (captured by patching
-  ``Module.__call__`` for the duration of the trace), and
+* the dotted module path active when the op ran (read off the call
+  stack: the innermost ``Module.__call__`` frame below the trace), and
 * up to ``FRAME_LIMIT`` non-framework source frames, used for finding
   locations and ``# analyzer: ok`` suppression.
 
@@ -128,70 +128,24 @@ def _capture_frames() -> tuple:
     return tuple(frames)
 
 
-# ----------------------------------------------------------------------
-# Module.__call__ patch manager
-#
-# ``trace`` needs to know which module is executing when an op fires, so
-# it instruments ``Module.__call__``.  Patching per-trace is unsafe under
-# re-entrancy: when a traced computation itself calls ``trace`` (or a
-# traced module drives another traced module), naive save/restore stacks
-# wrapper-over-wrapper and an out-of-order exit can resurrect a stale
-# wrapper as the "original".  Instead a single module-level wrapper is
-# installed once, every active trace registers itself here, and the
-# pristine ``Module.__call__`` is restored exactly when the last trace
-# exits.
-# ----------------------------------------------------------------------
-
-_ACTIVE_TRACERS: List["_ModulePathTracker"] = []
-_ORIGINAL_CALL: Optional[Callable] = None
+_MODULE_CALL = Module.__call__.__code__
 
 
-class _ModulePathTracker:
-    """Per-trace stack of dotted module paths, fed by the shared wrapper."""
+def _module_path(module_paths: Dict[int, str], stop) -> str:
+    """Dotted path of the innermost module call below frame ``stop``.
 
-    __slots__ = ("module_paths", "path_stack")
-
-    def __init__(self, module_paths: Dict[int, str]):
-        self.module_paths = module_paths
-        self.path_stack: List[str] = []
-
-    def current_path(self) -> str:
-        return self.path_stack[-1] if self.path_stack else ""
-
-
-def _patched_call(self, *args, **kwargs):
-    # Snapshot: a module called *during* this call must not see trackers
-    # registered midway through it.
-    trackers = tuple(_ACTIVE_TRACERS)
-    for tracker in trackers:
-        tracker.path_stack.append(
-            tracker.module_paths.get(id(self), type(self).__name__))
-    try:
-        return _ORIGINAL_CALL(self, *args, **kwargs)
-    finally:
-        for tracker in reversed(trackers):
-            tracker.path_stack.pop()
-
-
-def _enter_trace(tracker: "_ModulePathTracker") -> None:
-    global _ORIGINAL_CALL
-    if _ORIGINAL_CALL is None:
-        _ORIGINAL_CALL = Module.__call__
-        Module.__call__ = _patched_call
-    _ACTIVE_TRACERS.append(tracker)
-
-
-def _exit_trace(tracker: "_ModulePathTracker") -> None:
-    global _ORIGINAL_CALL
-    _ACTIVE_TRACERS.remove(tracker)
-    if not _ACTIVE_TRACERS and _ORIGINAL_CALL is not None:
-        # Restore only our own wrapper; if third-party code patched
-        # ``__call__`` on top of us, clobbering it would be worse than
-        # leaving the (now pass-through) wrapper installed — it still
-        # needs ``_ORIGINAL_CALL``, so keep that set in the rare case.
-        if Module.__call__ is _patched_call:
-            Module.__call__ = _ORIGINAL_CALL
-            _ORIGINAL_CALL = None
+    Reads the call stack instead of instrumenting ``Module.__call__``, so
+    nested traces and traces started inside a module call need no shared
+    state: each trace only looks at the frames it created.  Ops outside
+    every module call below ``stop`` get ``""``.
+    """
+    frame = sys._getframe(1)
+    while frame is not None and frame is not stop:
+        if frame.f_code is _MODULE_CALL:
+            module = frame.f_locals["self"]
+            return module_paths.get(id(module), type(module).__name__)
+        frame = frame.f_back
+    return ""
 
 
 def _module_paths(root: Module) -> Dict[int, str]:
@@ -233,8 +187,10 @@ def trace(fn: Callable[[], object], inputs: Sequence[Tensor] = (),
         param_names = {id(p): name for name, p in module.named_parameters()}
         module_paths = _module_paths(module)
 
-    tracker = _ModulePathTracker(module_paths)
-    current_path = tracker.current_path
+    stop = sys._getframe()
+
+    def current_path() -> str:
+        return _module_path(module_paths, stop)
 
     def make_leaf(t: Tensor) -> GraphNode:
         if id(t) in input_ids:
@@ -268,11 +224,9 @@ def trace(fn: Callable[[], object], inputs: Sequence[Tensor] = (),
         graph._keepalive.append(out)
 
     register_op_hook(hook)
-    _enter_trace(tracker)
     try:
         result = fn()
     finally:
-        _exit_trace(tracker)
         unregister_op_hook(hook)
 
     returned = result if isinstance(result, tuple) else (result,)

@@ -35,8 +35,7 @@ Commands
     divergence rewind; optionally inject worker-level chaos faults.
 ``obs report``
     Render the telemetry of a run directory (fleet attempt tables, epoch
-    timeline, per-phase span breakdown, top-k autograd ops) from its
-    JSONL artifacts.
+    timeline, per-phase span breakdown) from its JSONL artifacts.
 """
 
 from __future__ import annotations
@@ -233,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_report.add_argument("--dir", dest="directory", required=True,
                             help="run directory (e.g. a train-fleet --dir)")
-    obs_report.add_argument("--top", type=int, default=10,
-                            help="top-k autograd ops to show (default 10)")
     obs_top = obs_sub.add_parser(
         "top",
         help="live ops console: health, queues, error budgets, burns",
@@ -780,7 +777,7 @@ def _cmd_obs(args) -> int:
                        iterations=args.iterations, printer=_out)
     from repro.obs.report import render_report
 
-    _out(render_report(directory, top_k=args.top))
+    _out(render_report(directory))
     return 0
 
 

@@ -78,9 +78,6 @@ class WindowDataset:
     def num_windows(self) -> int:
         return sum(w.shape[0] for w in self._windows)
 
-    def service_windows(self, index: int) -> np.ndarray:
-        return self._windows[index]
-
     def batches(self, batch_size: int, rng: np.random.Generator | None = None,
                 shuffle: bool = True) -> Iterator[WindowBatch]:
         """Yield per-service batches, optionally shuffled across services."""

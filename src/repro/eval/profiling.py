@@ -15,11 +15,10 @@ attribution for the Fig. 6 comparison, for free, whenever tracing is
 enabled around the call.
 
 ``tracemalloc`` handling is re-entrancy safe: if the interpreter is
-already tracing (an enclosing :func:`profile_call`, a memory-tracing
-:class:`~repro.obs.tracing.Tracer`, a pytest plugin), the profiler
-snapshots the current allocation, resets the peak counter, and reports
-the delta — and it only ever stops the tracer it started itself, so the
-outer measurement keeps running.
+already tracing (an enclosing :func:`profile_call`, a pytest plugin),
+the profiler snapshots the current allocation, resets the peak counter,
+and reports the delta — and it only ever stops the tracer it started
+itself, so the outer measurement keeps running.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ class ResourceProfile:
     wall_seconds: float
     peak_memory_mb: float
     result: object = None
-    # Per-span-path totals ({path: {count, seconds, memory_kb}}) captured
+    # Per-span-path totals ({path: {count, seconds}}) captured
     # during the call; empty unless tracing was enabled around it.
     breakdown: Dict[str, dict] = field(default_factory=dict)
 

@@ -7,7 +7,7 @@ from typing import Dict, Iterator, Tuple
 import numpy as np
 
 from repro.analysis.spec import ContractError, TensorSpec
-from repro.nn.tensor import Parameter, Tensor
+from repro.nn.tensor import Parameter
 
 __all__ = ["Module"]
 
@@ -169,7 +169,3 @@ class Module:
             lines.append(f"  ({name}): {body}")
         lines.append(")")
         return "\n".join(lines) if self._modules else self.__class__.__name__ + "()"
-
-
-def _ensure_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)

@@ -8,18 +8,15 @@ reproduction measures it from the inside (DESIGN.md §11):
     (P² quantiles), with Prometheus-style exposition, bitwise-stable
     JSONL export, and associative cross-process merge.
 ``repro.obs.tracing``
-    Nested context-manager spans (wall time + optional ``tracemalloc``
-    deltas), deterministic root-span sampling, and a near-zero-cost
-    disabled path so call sites can live in hot loops permanently; plus
-    :func:`profile_ops`, the autograd op-hook latency profiler.
+    Nested context-manager wall-time spans with a near-zero-cost
+    disabled path, so call sites can live in hot loops permanently.
 ``repro.obs.events``
     Append-only schema-versioned JSONL event log: health transitions,
     breaker trips, checkpoint saves/rewinds, fleet retries,
     non-finite-batch skips.
 ``repro.obs.report``
-    ``repro obs report`` — per-phase time/memory breakdown, top-k ops,
-    epoch timeline and fleet attempt tables from a run directory's JSONL
-    artifacts alone.
+    ``repro obs report`` — per-phase time breakdown, epoch timeline and
+    fleet attempt tables from a run directory's JSONL artifacts alone.
 ``repro.obs.propagate``
     Cross-process trace propagation: the deterministic
     :class:`TraceContext` minted at gateway admission, the wire format
@@ -64,7 +61,6 @@ from repro.obs.tracing import (
     current_tracer,
     disable_tracing,
     enable_tracing,
-    profile_ops,
     span,
     tracing_enabled,
 )
@@ -90,7 +86,7 @@ __all__ = [
     "DEFAULT_BUCKETS", "DEFAULT_QUANTILES",
     "get_registry", "install_registry",
     "SpanRecord", "Tracer", "span", "enable_tracing", "disable_tracing",
-    "tracing_enabled", "current_tracer", "profile_ops",
+    "tracing_enabled", "current_tracer",
     "EventLog", "EVENT_KINDS", "SCHEMA_VERSION", "emit", "get_event_log",
     "install_event_log", "read_events",
     "TraceContext", "TraceLog", "build_trace_tree", "read_trace_spans",

@@ -2,7 +2,7 @@
 
 The registry is the numeric half of the observability layer
 (:mod:`repro.obs`): every instrumented component — the trainer, the
-serving loop, the fleet orchestrator, the autograd op profiler — records
+serving loop, the fleet orchestrator, the serving gateway — records
 into one :class:`MetricsRegistry` and the registry renders itself as
 Prometheus-style exposition text or as JSONL for offline analysis
 (``repro obs report``).

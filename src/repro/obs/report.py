@@ -10,10 +10,8 @@ JSONL artifacts alone — the orchestrator's ``events.jsonl``, each group's
   offline);
 * **epoch timeline** — per group and epoch: loss, gradient norm, wall
   seconds and non-finite-batch skips;
-* **phase breakdown** — aggregated spans: where wall time and traced
-  allocation went (``fit/epoch/batch`` and friends);
-* **top ops** — the k most expensive autograd ops by total wall time,
-  from the gap-attributed per-op histograms;
+* **phase breakdown** — aggregated spans: where wall time went
+  (``fit/epoch/batch`` and friends);
 * **remediation incidents / timeline** — the closed-loop remediation
   story: per incident, the diagnosis, the actions tried with their
   outcomes, and whether recovery verified or escalated, plus the
@@ -109,18 +107,12 @@ def _load_flat(directory: Path, telemetry: RunTelemetry,
 # ----------------------------------------------------------------------
 # Rendering
 # ----------------------------------------------------------------------
-def render_report(directory: str | Path, top_k: int = 10) -> str:
+def render_report(directory: str | Path) -> str:
     """The full ``repro obs report`` text for one run directory."""
     telemetry = load_run(directory)
     sections = []
-    for renderer in (_render_attempts, _render_epochs, _render_phases):
-        text = renderer(telemetry)
-        if text:
-            sections.append(text)
-    text = _render_top_ops(telemetry, top_k)
-    if text:
-        sections.append(text)
-    for renderer in (_render_remediation, _render_remediation_timeline,
+    for renderer in (_render_attempts, _render_epochs, _render_phases,
+                     _render_remediation, _render_remediation_timeline,
                      _render_gateway, _render_slo, _render_exemplars):
         text = renderer(telemetry)
         if text:
@@ -218,9 +210,9 @@ def _render_phases(telemetry: RunTelemetry) -> Optional[str]:
     for path, entry in ordered:
         mean_ms = 1e3 * entry["seconds"] / max(entry["count"], 1)
         rows.append((path, entry["count"], f"{entry['seconds']:.3f}",
-                     f"{mean_ms:.3f}", f"{entry['memory_kb']:.1f}"))
+                     f"{mean_ms:.3f}"))
     return _format_table(
-        ("phase", "count", "total s", "mean ms", "alloc KiB"),
+        ("phase", "count", "total s", "mean ms"),
         rows, title="phase breakdown (spans)")
 
 
@@ -511,24 +503,3 @@ def _render_exemplars(telemetry: RunTelemetry) -> Optional[str]:
                                        drill[1]["trace_id"]))
     return "\n".join(lines)
 
-
-def _render_top_ops(telemetry: RunTelemetry, top_k: int) -> Optional[str]:
-    histograms = [m for m in telemetry.metrics.collect("autograd.op_seconds")
-                  if isinstance(m, Histogram) and m.count]
-    if not histograms:
-        return None
-    # The same op may arrive from several groups with identical labels —
-    # collect() already returns the merged series per label set.
-    ordered = sorted(histograms, key=lambda h: h.total, reverse=True)
-    rows = []
-    for histogram in ordered[:top_k]:
-        op = dict(histogram.labels).get("op", histogram.name)
-        rows.append((
-            op, histogram.count, f"{histogram.total:.4f}",
-            f"{1e3 * histogram.mean:.4f}",
-            f"{1e3 * histogram.quantile(0.99):.4f}",
-        ))
-    return _format_table(
-        ("op", "calls", "total s", "mean ms", "p99 ms"),
-        rows, title=f"top {min(top_k, len(ordered))} autograd ops "
-                    "(gap-attributed)")

@@ -673,13 +673,6 @@ class ServingGateway:
         jitter = self.config.backoff_jitter * float(self._backoff_rng.random())
         return delay * (1.0 + jitter)
 
-    def kill_worker(self, shard_id: str) -> None:
-        """SIGKILL a shard's worker (chaos hook); dispatch will fail over
-        and recover from WAL on the next delivery."""
-        shard = self._shards[shard_id]
-        if shard.process is not None and shard.process.is_alive():
-            shard.process.kill()
-
     # ------------------------------------------------------------------
     # Introspection / verification
     # ------------------------------------------------------------------
@@ -714,11 +707,6 @@ class ServingGateway:
                 )
             replies[shard_id] = reply
         return replies
-
-    def shard_of(self, service_id: str) -> str:
-        """Which shard serves a service (stable across the gateway's
-        lifetime; changes only with the worker pool)."""
-        return self._shard_of[service_id]
 
     def accepted_sequence(self, service_id: str) -> int:
         """Last accepted (durable) sequence for a service."""

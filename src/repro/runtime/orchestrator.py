@@ -53,7 +53,7 @@ import numpy as np
 from repro.core.model import MaceConfig
 from repro.obs.events import EventLog, install_event_log
 from repro.obs.metrics import MetricsRegistry, get_registry, install_registry
-from repro.obs.tracing import disable_tracing, enable_tracing, profile_ops
+from repro.obs.tracing import disable_tracing, enable_tracing
 from repro.runtime.faults import WorkerFault
 
 __all__ = [
@@ -126,7 +126,7 @@ class FleetConfig:
     start_method: Optional[str] = None  # None: "fork" if available
     poll_interval: float = 0.05     # scheduler wait granularity, seconds
     term_grace: float = 5.0         # SIGTERM→SIGKILL escalation window
-    # Worker-side telemetry: per-op tracing + spans + a file-backed event
+    # Worker-side telemetry: metrics + spans + a file-backed event
     # log in each group directory, merged back through result.json.  The
     # orchestrator's own events.jsonl is always written (append-only).
     observability: bool = False
@@ -274,8 +274,8 @@ class _WorkerObservability:
     """Worker-process telemetry session (no-op unless enabled).
 
     When on: a fresh metrics registry and a file-backed event log are
-    installed for the worker, tracing records ``fit/epoch/batch`` spans,
-    and the autograd op profiler attributes per-op latency.  On close the
+    installed for the worker and tracing records ``fit/epoch/batch``
+    spans.  On close the
     registry and spans are dumped to ``metrics.jsonl`` / ``spans.jsonl``
     in the group directory, and :meth:`snapshot` rides home inside
     ``result.json``.
@@ -288,7 +288,6 @@ class _WorkerObservability:
         self._log = None
         self._previous_registry = None
         self._previous_log = None
-        self._op_profiler = None
 
     def __enter__(self) -> "_WorkerObservability":
         if not self.enabled:
@@ -298,8 +297,6 @@ class _WorkerObservability:
         self._log = EventLog(self.directory / "events.jsonl")
         self._previous_log = install_event_log(self._log)
         enable_tracing()
-        self._op_profiler = profile_ops(self.registry)
-        self._op_profiler.__enter__()
         return self
 
     def snapshot(self) -> List[dict]:
@@ -308,7 +305,6 @@ class _WorkerObservability:
     def __exit__(self, *exc_info) -> None:
         if not self.enabled:
             return
-        self._op_profiler.__exit__(None, None, None)
         tracer = disable_tracing()
         if tracer is not None:
             tracer.dump(self.directory / "spans.jsonl")

@@ -339,7 +339,3 @@ class ActionRunner:
             return outcome
         del self._running[service_id]
         return outcome
-
-    def abandon(self, service_id: str) -> None:
-        """Drop an in-flight action without an outcome (incident closed)."""
-        self._running.pop(service_id, None)

@@ -91,7 +91,6 @@ class EvidenceWindow:
         self.window = window
         self._repaired: deque = deque(maxlen=window)   # bool per tick
         self._alerts: deque = deque(maxlen=window)     # bool per ready tick
-        self._fallback: deque = deque(maxlen=window)   # bool per ready tick
         self._scores: deque = deque(maxlen=window)     # model-path scores
 
     def record(self, outcome) -> None:
@@ -99,7 +98,6 @@ class EvidenceWindow:
         self._repaired.append(bool(outcome.sanitized))
         if outcome.ready:
             self._alerts.append(bool(outcome.is_alert))
-            self._fallback.append(bool(outcome.used_fallback))
             if not outcome.used_fallback and np.isfinite(outcome.score):
                 self._scores.append(float(outcome.score))
 
@@ -118,12 +116,6 @@ class EvidenceWindow:
         if not self._alerts:
             return 0.0
         return sum(self._alerts) / len(self._alerts)
-
-    @property
-    def fallback_fraction(self) -> float:
-        if not self._fallback:
-            return 0.0
-        return sum(self._fallback) / len(self._fallback)
 
     def score_baseline(self) -> Optional[float]:
         """Median recent model-path score (the drift-bound reference)."""

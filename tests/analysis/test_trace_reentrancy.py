@@ -1,22 +1,23 @@
-"""Re-entrant and nested tracing must leave ``Module.__call__`` pristine.
+"""Nested and re-entrant tracing resolve module paths without patching.
 
-The tracer instruments ``Module.__call__`` to resolve dotted module
-paths.  Naive per-trace save/restore stacks wrappers under re-entrancy
-(a traced computation that itself calls ``trace``) and can resurrect a
-stale wrapper on out-of-order exit; the shared-wrapper design keeps one
-module-level patch and restores the pristine method exactly when the
-last trace exits.
+``trace`` reads each op's module path off the call stack: the innermost
+``Module.__call__`` frame below the ``trace`` call's own frame.  Nested
+traces, traces that raise, and traces started inside a module call must
+each see only the module calls they made, and ``Module.__call__`` is
+never rebound along the way.
 """
 
-import importlib
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-trace_module = importlib.import_module("repro.analysis.trace")
 from repro.analysis.trace import trace
 from repro.nn.modules.base import Module
 from repro.nn.tensor import Parameter, Tensor
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class Scale(Module):
@@ -41,17 +42,20 @@ class Outer(Module):
 def pristine_call():
     original = Module.__call__
     yield original
-    assert Module.__call__ is original, "a trace leaked its patch"
-    assert not trace_module._ACTIVE_TRACERS
-    assert trace_module._ORIGINAL_CALL is None
+    assert Module.__call__ is original, "a trace rebound Module.__call__"
 
 
 def test_single_trace_restores_call(pristine_call):
     model = Scale()
     x = Tensor(np.ones(3))
-    graph = trace(lambda: model(x).sum(), inputs=(x,), module=model)
-    assert any(n.op == "mul" for n in graph.nodes)
-    assert Module.__call__ is pristine_call
+
+    def fn():
+        assert Module.__call__ is pristine_call
+        return model(x).sum()
+
+    graph = trace(fn, inputs=(x,), module=model)
+    paths = {n.module_path for n in graph.nodes if n.op == "mul"}
+    assert paths == {"Scale"}
 
 
 def test_nested_trace_restores_call(pristine_call):
@@ -66,13 +70,11 @@ def test_nested_trace_restores_call(pristine_call):
         y = Tensor(np.ones(3))
         captured["inner"] = trace(lambda: inner_model(y).sum(),
                                   inputs=(y,), module=inner_model)
-        assert Module.__call__ is not pristine_call  # still patched
         return outer_model(x).sum()
 
     outer = trace(outer_fn, inputs=(x,), module=outer_model)
-    assert Module.__call__ is pristine_call
     inner = captured["inner"]
-    assert any(n.op == "mul" for n in inner.nodes)
+    assert {n.module_path for n in inner.nodes if n.op == "mul"} == {"Scale"}
     # The outer graph records its own module paths, undisturbed by the
     # inner trace's enter/exit.
     mul_paths = {n.module_path for n in outer.nodes
@@ -103,17 +105,14 @@ def test_exception_during_trace_restores_call(pristine_call):
 
     with pytest.raises(RuntimeError, match="mid-trace failure"):
         trace(boom, module=model)
-    assert Module.__call__ is pristine_call
 
 
-def test_exception_in_nested_trace_keeps_outer_patch_working(pristine_call):
+def test_exception_in_nested_trace_keeps_outer_paths(pristine_call):
     model = Scale()
 
     def outer_fn():
         with pytest.raises(RuntimeError):
             trace(lambda: (_ for _ in ()).throw(RuntimeError()), module=model)
-        # The outer trace must still be live and still instrumented.
-        assert Module.__call__ is not pristine_call
         return model(Tensor(np.ones(3))).sum()
 
     graph = trace(outer_fn, module=model)
@@ -121,29 +120,57 @@ def test_exception_in_nested_trace_keeps_outer_patch_working(pristine_call):
     assert "Scale" in paths
 
 
-def test_third_party_patch_not_clobbered(pristine_call):
-    # If someone patches Module.__call__ *on top of* the tracer's wrapper,
-    # exiting the last trace must leave their patch alone.
-    model = Scale()
+def test_trace_inside_forward_sees_only_calls_below_it(pristine_call):
+    class Host(Module):
+        def __init__(self):
+            super().__init__()
+            self.child = Scale()
+            self.graph = None
 
-    def outer_fn():
-        current = Module.__call__
+        def forward(self, x):
+            def fn():
+                return (self.child(x) + 1.0).sum()
 
-        def third_party(self, *args, **kwargs):
-            return current(self, *args, **kwargs)
+            self.graph = trace(fn, inputs=(x,), module=self)
+            return x
 
-        Module.__call__ = third_party
-        return model(Tensor(np.ones(3))).sum(), third_party
+    host = Host()
+    host(Tensor(np.ones(3)))
+    paths = {n.op: n.module_path for n in host.graph.nodes if n.kind == "op"}
+    # ``Host.__call__`` is running, but it began above the trace: only the
+    # child call below it counts, and ops outside that call get "".
+    assert paths == {"mul": "Host.child", "add": "", "sum": ""}
 
-    result_holder = {}
 
-    def fn():
-        out, patch = outer_fn()
-        result_holder["patch"] = patch
-        return out
+def _call_rebinds(source: str) -> list:
+    """Line numbers that assign ``Module.__call__`` or setattr it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            if any(isinstance(t, ast.Attribute) and t.attr == "__call__"
+                   and isinstance(t.value, ast.Name) and t.value.id == "Module"
+                   for t in targets):
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "setattr" and len(node.args) >= 2
+              and isinstance(node.args[0], ast.Name)
+              and node.args[0].id == "Module"
+              and isinstance(node.args[1], ast.Constant)
+              and node.args[1].value == "__call__"):
+            lines.append(node.lineno)
+    return lines
 
-    trace(fn, module=model)
-    assert Module.__call__ is result_holder["patch"]
-    # Clean up for the autouse fixture's pristine assertion.
-    Module.__call__ = pristine_call
-    trace_module._ORIGINAL_CALL = None
+
+def test_guard_catches_an_injected_rebind():
+    assert _call_rebinds("Module.__call__ = wrapper\n") == [1]
+    assert _call_rebinds("x = 1\nsetattr(Module, '__call__', f)\n") == [2]
+    assert _call_rebinds("self.__call__ = f\nModule.forward = g\n") == []
+
+
+def test_no_source_file_rebinds_module_call():
+    """Module paths come from the call stack; nothing patches the class."""
+    offenders = [f"{path.relative_to(SRC)}:{line}"
+                 for path in sorted(SRC.rglob("*.py"))
+                 for line in _call_rebinds(path.read_text(encoding="utf-8"))]
+    assert not offenders, f"Module.__call__ assigned at {offenders}"

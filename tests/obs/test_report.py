@@ -49,18 +49,15 @@ def synthetic_run(tmp_path):
         log.emit("checkpoint_rewind", epoch=2, rewound_to=1,
                  reason="non-finite", loss=float("nan"), lr=1e-3)
     registry = MetricsRegistry()
-    for value in (0.001, 0.002, 0.004):
-        registry.histogram("autograd.op_seconds", op="conv1d").observe(value)
-    registry.histogram("autograd.op_seconds", op="mul").observe(0.0005)
     registry.counter("trainer.batches").inc(12)
     registry.dump(group / "metrics.jsonl")
     _write_spans(group / "spans.jsonl", [
         {"name": "fit", "path": "fit", "depth": 0, "start": 0.0,
          "seconds": 1.2},
         {"name": "epoch", "path": "fit/trainer.epoch", "depth": 1,
-         "start": 0.0, "seconds": 0.6, "memory_kb": 128.0},
+         "start": 0.0, "seconds": 0.6},
         {"name": "epoch", "path": "fit/trainer.epoch", "depth": 1,
-         "start": 0.6, "seconds": 0.55, "memory_kb": 64.0},
+         "start": 0.6, "seconds": 0.55},
     ])
     (group / "result.json").write_text(json.dumps(
         {"status": "done", "rewinds": 1, "nonfinite_batches": 1}))
@@ -81,7 +78,8 @@ class TestSyntheticRun:
         assert "fleet attempts" in report
         assert "epoch timeline" in report
         assert "phase breakdown" in report
-        assert "autograd ops" in report
+        # Two epochs of fit/trainer.epoch: 1.150 s total, 575.000 ms mean.
+        assert "575.000" in report
 
     def test_attempt_table_story(self, synthetic_run):
         report = render_report(synthetic_run)
@@ -93,11 +91,6 @@ class TestSyntheticRun:
         report = render_report(synthetic_run)
         assert "0.125000" in report          # g0 epoch-2 loss
         assert "fit/trainer.epoch" in report
-
-    def test_top_k_truncates(self, synthetic_run):
-        report = render_report(synthetic_run, top_k=1)
-        assert "conv1d" in report            # the most expensive op
-        assert "mul" not in report.split("autograd ops")[-1]
 
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -176,12 +169,12 @@ class TestRealFleetRun:
         # Worker metrics rode home through result.json.
         merged = report.merged_metrics()
         assert merged.get("trainer.batches").value > 0
-        assert merged.collect("autograd.op_seconds")
+        assert merged.get("trainer.epoch_seconds").count == config.epochs
 
         # And the offline report tells the whole story from JSONL alone.
         text = render_report(tmp_path)
         assert "fleet attempts" in text
         assert "epoch timeline" in text
         assert "phase breakdown" in text
-        assert "autograd ops" in text
+        assert "trainer.epoch/trainer.batch" in text
         assert "group0" in text

@@ -1,18 +1,14 @@
-"""Span tracing: disabled path, nesting, sampling, memory, op profiling."""
+"""Span tracing: disabled path, nesting, export, aggregation."""
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import (
-    Tracer,
     aggregate_spans,
     current_tracer,
     disable_tracing,
     enable_tracing,
-    profile_ops,
     span,
     tracing_enabled,
 )
@@ -81,14 +77,6 @@ class TestRecording:
         tracer = disable_tracing()
         assert [record.path for record in tracer.spans] == ["boom"]
 
-    def test_memory_tracking(self):
-        enable_tracing(trace_memory=True)
-        with span("alloc"):
-            _ = np.zeros(1_000_000)
-        tracer = disable_tracing()
-        # ~7.6 MB allocation must show up as a positive KB delta.
-        assert tracer.spans[0].memory_kb > 1000
-
     def test_jsonl_roundtrip(self):
         enable_tracing()
         with span("fit", dataset="smd"):
@@ -100,43 +88,6 @@ class TestRecording:
         assert {d["path"] for d in decoded} == {"fit", "fit/epoch"}
         for d in decoded:
             assert set(d) >= {"name", "path", "depth", "start", "seconds"}
-
-
-class TestSampling:
-    def test_zero_rate_records_nothing(self):
-        enable_tracing(sample_rate=0.0)
-        for _ in range(20):
-            with span("root"):
-                pass
-        assert disable_tracing().spans == []
-
-    def test_half_rate_records_every_other_root(self):
-        enable_tracing(sample_rate=0.5)
-        for _ in range(10):
-            with span("root"):
-                with span("child"):
-                    pass
-        tracer = disable_tracing()
-        roots = [r for r in tracer.spans if r.path == "root"]
-        children = [r for r in tracer.spans if r.path == "root/child"]
-        # Deterministic error-accumulator sampling: exactly half, and a
-        # skipped root also skips its children.
-        assert len(roots) == 5
-        assert len(children) == 5
-
-    def test_sampling_is_deterministic(self):
-        def run():
-            enable_tracing(sample_rate=0.3)
-            for index in range(10):
-                with span("root", index=index):
-                    pass
-            return [r.attrs["index"] for r in disable_tracing().spans]
-
-        assert run() == run()
-
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(ValueError):
-            Tracer(sample_rate=1.5)
 
 
 class TestAggregate:
@@ -152,30 +103,3 @@ class TestAggregate:
         assert totals["epoch/batch"]["count"] == 3
         assert totals["epoch"]["seconds"] >= totals["epoch/batch"]["seconds"]
 
-
-class TestProfileOps:
-    def test_op_histograms_recorded(self):
-        from repro.nn.tensor import Tensor
-
-        registry = MetricsRegistry()
-        with profile_ops(registry):
-            a = Tensor(np.ones((4, 4)), requires_grad=True)
-            b = (a * 2.0).sum()
-            b.backward()
-        ops = {dict(m.labels)["op"] for m in registry.collect("autograd.ops")}
-        assert "mul" in ops
-        assert "sum" in ops
-        for histogram in registry.collect("autograd.op_seconds"):
-            assert histogram.count >= 1
-            assert histogram.total >= 0.0
-
-    def test_hook_unregistered_on_exit(self):
-        from repro.nn.tensor import Tensor
-
-        registry = MetricsRegistry()
-        with profile_ops(registry):
-            Tensor(np.ones(3)) * 1.0
-        before = sum(m.value for m in registry.collect("autograd.ops"))
-        Tensor(np.ones(3)) * 1.0   # outside the block: must not record
-        after = sum(m.value for m in registry.collect("autograd.ops"))
-        assert before == after
