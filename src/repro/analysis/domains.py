@@ -184,6 +184,16 @@ class Interval:
     def relu(self) -> "Interval":
         return Interval(max(self.lo, 0.0), max(self.hi, 0.0), self.may_nan)
 
+    def leaky_relu(self, slope: float) -> "Interval":
+        """``x`` for ``x > 0``, ``slope * x`` otherwise.  Piecewise linear
+        with its kink at 0, so the extremes lie at the ends or at 0."""
+        def _op(x: float) -> float:
+            return x if x > 0.0 else _mul_bound(x, slope)
+        bounds = [_op(self.lo), _op(self.hi)]
+        if self.contains_zero:
+            bounds.append(0.0)
+        return Interval(min(bounds), max(bounds), self.may_nan)
+
     def clip(self, low: float, high: float) -> "Interval":
         lo = min(max(self.lo, low), high)
         hi = min(max(self.hi, low), high)

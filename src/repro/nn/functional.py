@@ -157,14 +157,13 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     c_out, _, kernel = weight.shape
     padded = _pad(x.data, padding)
     length = padded.shape[-1]
-    # The backward closure keeps this view, not the im2col copy, alive.
     windows = _windows(padded, kernel, stride)  # (N, C, L_out, K)
     out_length = windows.shape[2]
-
-    def im2col():
-        return _matrix(windows.transpose(1, 3, 0, 2), c_in * kernel, n * out_length)
-
-    out = _product(_matrix(weight.data, c_out, c_in * kernel), im2col()) \
+    # The backward closure keeps this im2col matrix for the weight
+    # gradient; under ``no_grad`` the closure, and with it ``cols``, is
+    # dropped as soon as the op returns.
+    cols = _matrix(windows.transpose(1, 3, 0, 2), c_in * kernel, n * out_length)
+    out = _product(_matrix(weight.data, c_out, c_in * kernel), cols) \
         .reshape(c_out, n, out_length).transpose(1, 0, 2)
     if bias is not None:
         out = out + bias.data[None, :, None]
@@ -174,7 +173,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     def backward(grad):
         if weight.requires_grad:
             grad_rows = _matrix(grad.transpose(0, 2, 1), n * out_length, c_out)
-            weight._accumulate(_product(im2col(), grad_rows)
+            weight._accumulate(_product(cols, grad_rows)
                                .reshape(c_in, kernel, c_out).transpose(2, 0, 1))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2)))
@@ -216,12 +215,10 @@ def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     n, c_in, length = x.shape
     _, c_out, kernel = weight.shape
     full_length = (length - 1) * stride + kernel
-
-    def x_rows():
-        return _matrix(x.data.transpose(1, 0, 2), c_in, n * length)
-
+    # Kept by the backward closure for the weight gradient (see conv1d).
+    x_rows = _matrix(x.data.transpose(1, 0, 2), c_in, n * length)
     contrib = _product(_matrix(weight.data.transpose(1, 2, 0), c_out * kernel, c_in),
-                       x_rows())
+                       x_rows)
     contrib = contrib.reshape(c_out, kernel, n, length).transpose(2, 0, 3, 1)
     out_full = _overlap_add(contrib, full_length, stride)  # (N, O, L_full)
     out = out_full[..., padding:full_length - padding] if padding else out_full
@@ -240,7 +237,7 @@ def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         if weight.requires_grad:
             grad_rows = _matrix(grad_windows.transpose(0, 2, 1, 3),
                                 n * length, c_out * kernel)
-            weight._accumulate(_product(x_rows(), grad_rows).reshape(c_in, c_out, kernel))
+            weight._accumulate(_product(x_rows, grad_rows).reshape(c_in, c_out, kernel))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2)))
 
@@ -311,7 +308,24 @@ def relu(x: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
-    return where(x.data > 0, x, x * negative_slope)
+    """``x`` where positive, ``negative_slope * x`` elsewhere: one tape node.
+
+    The forward bits equal those of the composite
+    ``where(x > 0, x, x * negative_slope)``.  Its gradient
+    ``where(x > 0, grad, grad * negative_slope)`` skips the composite's
+    second, zero-masked term, so the two can differ only in the sign of a
+    zero (and where ``grad`` is infinite, the composite's ``inf * 0``
+    gave NaN).
+    """
+    cond = x.data > 0
+    data = np.where(cond, x.data, x.data * negative_slope)
+
+    def backward(grad):
+        if x.requires_grad:
+            x._accumulate(np.where(cond, grad, grad * negative_slope))
+
+    return Tensor._from_op(data, (x,), backward, "leaky_relu",
+                           attrs={"negative_slope": float(negative_slope)})
 
 
 def gelu(x: Tensor) -> Tensor:

@@ -201,6 +201,10 @@ def _t_relu(ctx: OpContext) -> Interval:
     return ctx.ins[0].relu()
 
 
+def _t_leaky_relu(ctx: OpContext) -> Interval:
+    return ctx.ins[0].leaky_relu(float(ctx.attrs.get("negative_slope", 0.01)))
+
+
 def _t_clip(ctx: OpContext) -> Interval:
     return ctx.ins[0].clip(float(ctx.attrs.get("low", -math.inf)),
                            float(ctx.attrs.get("high", math.inf)))
@@ -301,6 +305,7 @@ OP_INFO: Dict[str, Callable[[OpContext], Interval]] = {
     "tanh": _t_tanh,
     "sigmoid": _t_sigmoid,
     "relu": _t_relu,
+    "leaky_relu": _t_leaky_relu,
     "clip": _t_clip,
     "sum": _t_sum,
     "max": _t_identity,

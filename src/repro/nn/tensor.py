@@ -83,6 +83,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _is_basic_key(key) -> bool:
+    """Whether ``key`` is NumPy basic indexing: ints, slices, ``None`` and
+    ``Ellipsis`` (alone or in a tuple).  Booleans are advanced indices."""
+    return all(item is None or item is Ellipsis or isinstance(item, slice)
+               or (isinstance(item, (int, np.integer)) and not isinstance(item, bool))
+               for item in (key if isinstance(key, tuple) else (key,)))
+
+
 class Tensor:
     """A NumPy array plus gradient bookkeeping.
 
@@ -203,23 +211,45 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Add one gradient contribution to ``self.grad``.
+
+        Ownership rule: a leaf (no ``_backward``) owns its gradient, which
+        optimizers and ``clip_grad_norm`` update in place, so its first
+        contribution is copied and later ones are added in place.  An
+        intermediate node only hands its gradient to its own backward
+        closure, and no closure writes into its incoming gradient, so it
+        keeps the first contribution as is, even when that array is shared
+        with (or a view of) another node's gradient.  A later contribution
+        therefore goes into a fresh array, never into the shared one.
+        A first contribution that is not a plain ndarray of the node's
+        dtype (a NumPy scalar, another dtype) is still converted by a copy.
+        """
         if self.grad is None:
-            self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
-        else:
+            if (self._backward is None or type(grad) is not np.ndarray
+                    or grad.dtype != self.data.dtype):
+                self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
+            else:
+                self.grad = grad
+        elif self._backward is None:
             self.grad += grad
+        else:
+            fresh = np.empty_like(self.grad)  # noqa: REP110 - np.add writes every element
+            self.grad = np.add(self.grad, grad, out=fresh)
 
     def backward(self, grad=None) -> None:
         """Backpropagate from this tensor.
 
-        ``grad`` defaults to ones (must be supplied explicitly for scalar use
-        it defaults to 1.0, matching the usual convention).
+        ``grad`` is the gradient of the final objective with respect to
+        this tensor and defaults to ones, so for a scalar loss it is 1.0,
+        matching the usual convention.  A supplied ``grad`` is copied: the
+        caller keeps ownership of the array it passed.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
         if grad is None:
             grad = np.ones_like(self.data)
         else:
-            grad = _as_array(grad)
+            grad = np.array(_as_array(grad), dtype=self.data.dtype)
             if grad.shape != self.data.shape:
                 raise ValueError(
                     f"gradient shape {grad.shape} does not match tensor shape {self.data.shape}"
@@ -544,11 +574,18 @@ class Tensor:
 
     def __getitem__(self, key) -> "Tensor":
         data = self.data[key]
+        basic = _is_basic_key(key)
 
         def backward(grad):
             if self.requires_grad:
                 full = np.zeros_like(self.data)
-                np.add.at(full, key, grad)
+                if basic:
+                    # A basic key selects each element at most once.
+                    full[key] += grad
+                else:
+                    # Advanced keys may repeat an index; ``add.at``
+                    # accumulates every occurrence.
+                    np.add.at(full, key, grad)
                 self._accumulate(full)
 
         return Tensor._from_op(np.asarray(data), (self,), backward, "getitem",

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.domains import Interval
+from repro.nn import Tensor, functional as F
+from repro.nn.opinfo import OpContext, transfer
 
 INF = math.inf
 
@@ -111,6 +113,16 @@ class TestElementwise:
         root = x.odd_root(3.0)
         assert root.lo == pytest.approx(-2.0) and root.hi == pytest.approx(3.0)
 
+    def test_leaky_relu(self):
+        assert Interval(-10.0, 5.0).leaky_relu(0.1) == Interval(-1.0, 5.0)
+        assert Interval(1.0, 5.0).leaky_relu(0.1) == Interval(1.0, 5.0)
+        assert Interval(-10.0, -2.0).leaky_relu(0.5) == Interval(-5.0, -1.0)
+        # A negative slope folds the negative side up; 0 is then the minimum.
+        assert Interval(-10.0, 5.0).leaky_relu(-0.5) == Interval(0.0, 5.0)
+        # slope 0 on an unbounded side is 0, not NaN.
+        assert Interval(-math.inf, 1.0).leaky_relu(0.0) == Interval(0.0, 1.0)
+        assert Interval(-1.0, 1.0, may_nan=True).leaky_relu(0.1).may_nan
+
     def test_maximum_minimum(self):
         a, b = Interval(-1.0, 2.0), Interval(0.0, 5.0)
         assert a.maximum(b) == Interval(0.0, 5.0)
@@ -131,6 +143,17 @@ class TestSoundnessSampling:
                     "mul": xs * ys, "div": xs / ys}[op]
         assert (concrete >= abstract.lo - 1e-12).all()
         assert (concrete <= abstract.hi + 1e-12).all()
+
+    @pytest.mark.parametrize("lo,hi,slope", [(-3.0, 2.0, 0.1), (-3.0, -1.0, 0.1),
+                                             (0.5, 2.0, 0.1), (-3.0, 2.0, -0.4)])
+    def test_leaky_relu_transfer_sound_and_tight(self, lo, hi, slope):
+        x = Tensor(np.linspace(lo, hi, 201))
+        concrete = F.leaky_relu(x, slope).data
+        ctx = OpContext("leaky_relu", [Interval(lo, hi)],
+                        {"negative_slope": slope}, [x.shape], x.shape)
+        abstract = transfer(ctx)
+        assert abstract == Interval(concrete.min(), concrete.max())
+        assert ctx.issues == []
 
     def test_union_is_hull(self):
         merged = Interval(-1.0, 0.0).union(Interval(5.0, 6.0, may_nan=True))

@@ -147,3 +147,50 @@ class TestCompositeGradients:
         nn.stack([a, b], axis=0).sum().backward()
         np.testing.assert_allclose(a.grad, [1.0])
         np.testing.assert_allclose(b.grad, [1.0])
+
+
+class TestGradientOwnership:
+    """Intermediate nodes may alias gradient arrays; leaves own theirs."""
+
+    def test_leaf_grads_of_a_shared_gradient_are_distinct_arrays(self):
+        # ``add`` hands the very same array to both operands.
+        p = nn.Parameter(np.array([1.0, 2.0]))
+        q = nn.Parameter(np.array([5.0, 7.0]))
+        ((p + q) * Tensor([3.0, 4.0])).sum().backward()
+        assert not np.shares_memory(p.grad, q.grad)
+        # clip_grad_norm scales in place: a shared array would be scaled twice.
+        total = nn.clip_grad_norm([p, q], max_norm=1.0)
+        assert total == np.sqrt(50.0)
+        factor = 1.0 / total
+        np.testing.assert_array_equal(p.grad, np.array([3.0, 4.0]) * factor)
+        np.testing.assert_array_equal(q.grad, np.array([3.0, 4.0]) * factor)
+
+    def test_mutating_the_seed_gradient_leaves_grads_unchanged(self):
+        x = Tensor(np.arange(6.0), requires_grad=True)
+        y = x.reshape(2, 3)  # reshape's adjoint passes a view of its grad
+        seed = np.arange(6.0).reshape(2, 3) + 1.0
+        y.backward(seed)
+        seed[...] = -99.0
+        np.testing.assert_array_equal(y.grad, np.arange(6.0).reshape(2, 3) + 1.0)
+        np.testing.assert_array_equal(x.grad, np.arange(6.0) + 1.0)
+
+    def test_second_contribution_to_an_aliased_gradient(self):
+        # ``m = a' + c'`` hands one array to both reshapes, whose adjoints
+        # give A and C views of it.  A then gets a second contribution,
+        # from ``a * v``, before C (A's input) runs its backward: adding it
+        # in place would leak into C's gradient.
+        x = Tensor(np.array([1.0, 2.0, 3.0, 4.0]), requires_grad=True)
+        w = np.array([[1.0, 2.0], [3.0, 4.0]])
+        v = np.array([10.0, 20.0, 30.0, 40.0])
+        c = x * 3.0
+        a = c * 2.0
+        m = a.reshape(2, 2) + c.reshape(2, 2)
+        ((m * Tensor(w)).sum() + (a * Tensor(v)).sum()).backward()
+        # Integer-valued operands: every sum is exact.
+        np.testing.assert_array_equal(x.grad, 9.0 * w.reshape(-1) + 6.0 * v)
+
+    def test_second_contribution_with_mismatched_shape_raises(self):
+        h = Tensor(np.ones(3), requires_grad=True) * 1.0
+        h._accumulate(np.ones(3))
+        with pytest.raises(ValueError):
+            h._accumulate(np.ones((2, 3)))

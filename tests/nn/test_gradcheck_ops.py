@@ -233,6 +233,14 @@ def test_grad_where_maximum(seed):
     assert gradcheck(lambda x, y: nn.maximum(x, y) + nn.minimum(x, y), [a, b])
 
 
+@given(seed=st.integers(0, 10_000))
+def test_grad_leaky_relu(seed):
+    data = _tensor((4, 5), seed).data
+    # Keep every element at least 0.1 away from the kink at 0.
+    x = Tensor(data + np.where(data < 0, -0.1, 0.1), requires_grad=True)
+    assert gradcheck(lambda a: F.leaky_relu(a, 0.1) + F.leaky_relu(a, -0.3), [x])
+
+
 def test_numerical_gradient_on_noncontiguous_storage():
     """Perturbations must reach non-contiguous storage (transposed views).
 
