@@ -2,9 +2,11 @@
 
 This object is MACE's "memory": the neural weights are shared across every
 service, while the context-aware DFT/IDFT pair is looked up per service.
-Handling a previously unseen service only requires fitting its subspace
-(a cheap counting pass over its training windows) — no retraining — which is
-what powers the Table VIII transfer experiment.
+It owns every service's :class:`ServiceSubspace` and writes/reads them as
+the ``subspaces`` block of a saved detector's manifest.  Handling a
+previously unseen service only requires fitting its subspace (a cheap
+counting pass over its training windows) — no retraining — which is what
+powers the Table VIII transfer experiment.
 """
 
 from __future__ import annotations
@@ -13,13 +15,10 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.frequency.basis import FourierBasis, num_rfft_bins
 from repro.frequency.context_aware import (
     ContextAwareDFT,
     ContextAwareIDFT,
     ServiceSubspace,
-    SubspaceBank,
-    count_basis_incidence,
 )
 
 __all__ = ["PatternExtractor"]
@@ -29,16 +28,13 @@ class PatternExtractor:
     """Fit, store and serve per-service normal-pattern subspaces."""
 
     def __init__(self, window: int, num_bases: int, stride: int = 1,
-                 include_dc: bool = True, context_aware: bool = True):
+                 context_aware: bool = True):
         self.window = window
         self.num_bases = num_bases
+        self.stride = stride
         self.context_aware = context_aware
-        self.bank = SubspaceBank(window, num_bases, stride=stride,
-                                 include_dc=include_dc)
+        self._subspaces: Dict[str, ServiceSubspace] = {}
         self._transforms: Dict[str, Tuple[ContextAwareDFT, ContextAwareIDFT]] = {}
-        # Per-service, per-feature basis-incidence counts; kept so
-        # update_service() can adapt subspaces incrementally.
-        self._counts: Dict[str, list] = {}
 
     def fit(self, service_ids: Sequence[str],
             train_series: Sequence[np.ndarray]) -> "PatternExtractor":
@@ -52,87 +48,67 @@ class PatternExtractor:
         if series.ndim == 1:
             series = series[:, None]
         if self.context_aware:
-            subspace = self.bank.fit_service(service_id, series)
-            from repro.frequency.context_aware import _sliding_windows
-
-            self._counts[service_id] = [
-                count_basis_incidence(
-                    _sliding_windows(series[:, f], self.window,
-                                     self.bank.stride),
-                    self.num_bases,
-                ).astype(float)
-                for f in range(series.shape[1])
-            ]
+            subspace = ServiceSubspace.fit(series, self.window, self.num_bases,
+                                           stride=self.stride)
         else:
             # Ablation: vanilla DFT/IDFT over the complete spectrum.
             subspace = ServiceSubspace.full_spectrum(self.window, series.shape[1])
-            self.bank.add(service_id, subspace)
-        self._transforms.pop(service_id, None)
-        return subspace
-
-    def update_service(self, service_id: str, new_series: np.ndarray,
-                       decay: float = 0.9) -> ServiceSubspace:
-        """Adapt a service's subspace to fresh normal data (pattern drift).
-
-        Incremental counterpart of :meth:`fit_service`: the stored
-        basis-incidence counts are exponentially decayed and the counts
-        from ``new_series``' windows are added, then the top bases are
-        re-selected.  Cheap (one counting pass), no gradient steps — the
-        streaming analogue of the paper's preprocessing stage.
-        """
-        if not 0.0 <= decay <= 1.0:
-            raise ValueError("decay must be in [0, 1]")
-        if not self.context_aware:
-            return self.bank.get(service_id)
-        if new_series.ndim == 1:
-            new_series = new_series[:, None]
-        counts = self._counts.get(service_id)
-        if counts is None:
-            return self.fit_service(service_id, new_series)
-        from repro.frequency.context_aware import (
-            _sliding_windows,
-            select_dominant_bases,
-        )
-
-        bases = []
-        for feature in range(new_series.shape[1]):
-            windows = _sliding_windows(new_series[:, feature], self.window,
-                                       self.bank.stride)
-            fresh = count_basis_incidence(windows, self.num_bases)
-            counts[feature] = decay * counts[feature] + fresh
-            order = np.argsort(counts[feature], kind="stable")[::-1]
-            selected = [0] if self.bank.include_dc else []
-            for index in order:
-                if len(selected) >= min(self.num_bases,
-                                        num_rfft_bins(self.window)):
-                    break
-                if int(index) not in selected:
-                    selected.append(int(index))
-            bases.append(FourierBasis(self.window, sorted(selected)))
-        subspace = ServiceSubspace(bases)
-        self.bank.add(service_id, subspace)
+        self._subspaces[service_id] = subspace
         self._transforms.pop(service_id, None)
         return subspace
 
     def subspace(self, service_id: str) -> ServiceSubspace:
-        return self.bank.get(service_id)
+        if service_id not in self._subspaces:
+            raise KeyError(f"no subspace fitted for service {service_id!r}")
+        return self._subspaces[service_id]
 
     def transforms(self, service_id: str) -> Tuple[ContextAwareDFT, ContextAwareIDFT]:
         """Cached, amplitude-normalised DFT/IDFT modules for a service."""
         if service_id not in self._transforms:
-            subspace = self.bank.get(service_id)
+            subspace = self.subspace(service_id)
             self._transforms[service_id] = (
                 ContextAwareDFT(subspace, normalized=True),
                 ContextAwareIDFT(subspace, normalized=True),
             )
         return self._transforms[service_id]
 
-    def coefficient_width(self, service_id: str) -> int:
-        """Width ``2k`` of the coefficient vector for a service."""
-        return 2 * self.bank.get(service_id).k
-
     def __contains__(self, service_id: str) -> bool:
-        return service_id in self.bank
+        return service_id in self._subspaces
 
-    def service_ids(self):
-        return self.bank.service_ids()
+    def to_dict(self) -> dict:
+        """The manifest's ``subspaces`` block (see :meth:`load_dict`).
+
+        ``include_dc`` is always true; it stays in the block so the format
+        is unchanged for readers that expect it.
+        """
+        return {
+            "window": self.window,
+            "k": self.num_bases,
+            "stride": self.stride,
+            "include_dc": True,
+            "subspaces": {sid: s.to_dict() for sid, s in self._subspaces.items()},
+        }
+
+    def load_dict(self, payload: dict) -> None:
+        """Replace every subspace with those of a :meth:`to_dict` block.
+
+        The block's scalar fields restate the extractor's own configuration
+        and are not read back.  Raises ``KeyError``/``TypeError``/
+        ``ValueError`` on a malformed block, including a subspace whose
+        window differs from the extractor's; the extractor is left
+        unchanged in that case.
+        """
+        block = payload["subspaces"]
+        if not isinstance(block, dict):
+            raise TypeError("'subspaces' must map service ids to subspaces, "
+                            f"got {type(block).__name__}")
+        subspaces = {sid: ServiceSubspace.from_dict(sub)
+                     for sid, sub in block.items()}
+        for service_id, subspace in subspaces.items():
+            if subspace.window != self.window:
+                raise ValueError(
+                    f"subspace window mismatch for service {service_id!r}: "
+                    f"{subspace.window} != {self.window}"
+                )
+        self._subspaces = subspaces
+        self._transforms.clear()

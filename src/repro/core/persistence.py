@@ -1,8 +1,8 @@
 """Saving and loading fitted MACE detectors.
 
 A fitted detector is (i) the shared network weights, (ii) the per-service
-subspace bank, and (iii) the config.  Weights go to ``<stem>.npz`` via
-:mod:`repro.nn.serialization`; config + bank go to ``<stem>.json``.
+subspaces, and (iii) the config.  Weights go to ``<stem>.npz`` via
+:mod:`repro.nn.serialization`; config + subspaces go to ``<stem>.json``.
 
 Crash safety: both artifacts are written to temporary files and atomically
 renamed, weights **before** manifest.  The manifest is the commit record —
@@ -23,7 +23,6 @@ from pathlib import Path
 from repro.core.detector import MaceDetector
 from repro.core.model import MaceConfig
 from repro.core.trainer import MaceTrainer
-from repro.frequency.context_aware import SubspaceBank
 from repro.nn.serialization import (
     SerializationError,
     atomic_replace,
@@ -82,7 +81,7 @@ def save_detector(detector: MaceDetector, path: str | Path) -> Path:
         "format": "repro.mace-detector.v1",
         "config": dataclasses.asdict(detector.config),
         "score_stride": detector.score_stride,
-        "subspaces": trainer.extractor.bank.to_dict(),
+        "subspaces": trainer.extractor.to_dict(),
         "weights_file": weights_path.name,
     }
     atomic_replace(manifest_path,
@@ -153,12 +152,10 @@ def load_detector(path: str | Path) -> MaceDetector:
     trainer.model.eval()
 
     try:
-        bank = SubspaceBank.from_dict(manifest["subspaces"])
+        trainer.extractor.load_dict(manifest["subspaces"])
     except (KeyError, TypeError, ValueError) as error:
         raise CorruptArtifactError(
-            f"manifest {manifest_path} has an invalid subspace bank: {error}"
+            f"manifest {manifest_path} has an invalid subspaces block: {error}"
         ) from error
-    trainer.extractor.bank = bank
-    trainer.extractor._transforms.clear()
     detector.trainer = trainer
     return detector

@@ -5,24 +5,15 @@ from repro.frequency.basis import (
     fourier_forward_matrix,
     fourier_inverse_matrix,
     num_rfft_bins,
-    rfft_bin_frequencies,
 )
 from repro.frequency.context_aware import (
     ContextAwareDFT,
     ContextAwareIDFT,
     ServiceSubspace,
-    SubspaceBank,
     count_basis_incidence,
     select_dominant_bases,
 )
-from repro.frequency.dft import (
-    dominant_indices,
-    irfft_signal,
-    normalized_spectrum,
-    power_spectrum,
-    rfft_amplitude,
-    rfft_coefficients,
-)
+from repro.frequency.dft import rfft_amplitude
 from repro.frequency.periodicity import PeriodEstimate, estimate_periods, recommend_window
 from repro.frequency.spectrum import (
     SpectrumStats,
@@ -44,11 +35,10 @@ from repro.frequency.theory import (
 
 __all__ = [
     "FourierBasis", "fourier_forward_matrix", "fourier_inverse_matrix",
-    "num_rfft_bins", "rfft_bin_frequencies",
-    "ContextAwareDFT", "ContextAwareIDFT", "ServiceSubspace", "SubspaceBank",
+    "num_rfft_bins",
+    "ContextAwareDFT", "ContextAwareIDFT", "ServiceSubspace",
     "count_basis_incidence", "select_dominant_bases",
-    "dominant_indices", "irfft_signal", "normalized_spectrum",
-    "power_spectrum", "rfft_amplitude", "rfft_coefficients",
+    "rfft_amplitude",
     "PeriodEstimate", "estimate_periods", "recommend_window",
     "SpectrumStats", "compare_anomaly_normal", "pairwise_kde_kl",
     "spectral_kl_divergence", "spectrum_expectation", "spectrum_variance",

@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "num_rfft_bins",
-    "rfft_bin_frequencies",
     "fourier_forward_matrix",
     "fourier_inverse_matrix",
     "FourierBasis",
@@ -35,11 +34,6 @@ def num_rfft_bins(window: int) -> int:
     if window < 2:
         raise ValueError("window length must be at least 2")
     return window // 2 + 1
-
-
-def rfft_bin_frequencies(window: int) -> np.ndarray:
-    """Cycles-per-sample frequency of each rFFT bin (``j / window``)."""
-    return np.arange(num_rfft_bins(window)) / float(window)
 
 
 def _validate_indices(window: int, indices: Sequence[int]) -> np.ndarray:
@@ -89,9 +83,12 @@ def fourier_inverse_matrix(window: int, indices: Sequence[int]) -> np.ndarray:
     return matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierBasis:
     """A selected subset of Fourier bases for one window length.
+
+    Compared and hashed by identity: the fields are arrays, which have no
+    single truth value, and nothing compares two bases by value.
 
     Attributes
     ----------
@@ -103,8 +100,8 @@ class FourierBasis:
 
     window: int
     indices: np.ndarray
-    forward: np.ndarray = field(repr=False, compare=False, default=None)
-    inverse: np.ndarray = field(repr=False, compare=False, default=None)
+    forward: np.ndarray = field(repr=False, default=None)
+    inverse: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         idx = _validate_indices(self.window, self.indices)
@@ -126,24 +123,6 @@ class FourierBasis:
     def frequencies(self) -> np.ndarray:
         """Cycles-per-sample frequency of each selected basis."""
         return self.indices / float(self.window)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Analysis: ``(..., T) -> (..., 2k)`` interleaved Re/Im coefficients."""
-        if x.shape[-1] != self.window:
-            raise ValueError(f"expected last axis {self.window}, got {x.shape[-1]}")
-        return x @ self.forward.T
-
-    def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
-        """Synthesis: ``(..., 2k) -> (..., T)``."""
-        if coeffs.shape[-1] != 2 * self.k:
-            raise ValueError(f"expected last axis {2 * self.k}, got {coeffs.shape[-1]}")
-        return coeffs @ self.inverse.T
-
-    def amplitudes(self, coeffs: np.ndarray) -> np.ndarray:
-        """Per-basis amplitude ``sqrt(Re^2 + Im^2)``: ``(..., 2k) -> (..., k)``."""
-        re = coeffs[..., 0::2]
-        im = coeffs[..., 1::2]
-        return np.sqrt(re * re + im * im)
 
     def to_dict(self) -> dict:
         return {"window": self.window, "indices": self.indices.tolist()}

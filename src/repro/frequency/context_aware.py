@@ -15,12 +15,12 @@ gradient-check cleanly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List
 
 import numpy as np
 
 from repro.analysis.spec import TensorSpec
-from repro.frequency.basis import FourierBasis, num_rfft_bins
+from repro.frequency.basis import FourierBasis
 from repro.frequency.dft import rfft_amplitude
 from repro.nn.modules.base import Module
 from repro.nn.tensor import Tensor
@@ -29,49 +29,44 @@ __all__ = [
     "count_basis_incidence",
     "select_dominant_bases",
     "ServiceSubspace",
-    "SubspaceBank",
     "ContextAwareDFT",
     "ContextAwareIDFT",
 ]
 
 
-def count_basis_incidence(windows: np.ndarray, k: int,
-                          skip_dc: bool = True) -> np.ndarray:
+def count_basis_incidence(windows: np.ndarray, k: int) -> np.ndarray:
     """Count, per rFFT bin, how often it ranks in a window's top-``k``.
 
     ``windows`` is ``(W, T)`` for one feature.  Returns an integer count per
-    bin.  The DC bin is excluded from ranking when ``skip_dc`` because it
-    encodes the window mean rather than an oscillatory "signal".
+    bin.  The DC bin is excluded from ranking because it encodes the window
+    mean rather than an oscillatory "signal".
     """
     if windows.ndim != 2:
         raise ValueError("expected (num_windows, window_length)")
-    amplitude = rfft_amplitude(windows)  # (W, B)
+    amplitude = rfft_amplitude(windows)  # (W, B), a fresh array
     bins = amplitude.shape[-1]
-    if skip_dc:
-        amplitude = amplitude.copy()
-        amplitude[:, 0] = -np.inf
-    k = min(k, bins - int(skip_dc))
+    amplitude[:, 0] = -np.inf
+    k = min(k, bins - 1)
     top = np.argpartition(amplitude, -k, axis=-1)[:, -k:]
     counts = np.bincount(top.reshape(-1), minlength=bins)
     return counts
 
 
-def select_dominant_bases(windows: np.ndarray, k: int, include_dc: bool = True,
-                          skip_dc_in_ranking: bool = True) -> np.ndarray:
+def select_dominant_bases(windows: np.ndarray, k: int) -> np.ndarray:
     """Select the ``k`` bases with the highest top-``k`` incidence.
 
-    When ``include_dc`` the DC bin is always part of the subset (windows are
-    not mean-removed, so dropping DC would make reconstruction of the window
-    level impossible); the remaining ``k - 1`` slots go to the most frequent
+    The DC bin is always part of the subset (windows are not mean-removed,
+    so dropping DC would make reconstruction of the window level
+    impossible); the remaining ``k - 1`` slots go to the most frequent
     oscillatory bases.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    counts = count_basis_incidence(windows, k, skip_dc=skip_dc_in_ranking)
+    counts = count_basis_incidence(windows, k)
     bins = counts.size
     k = min(k, bins)
     candidates = np.argsort(counts, kind="stable")[::-1]
-    selected: List[int] = [0] if include_dc else []
+    selected: List[int] = [0]
     for index in candidates:
         if len(selected) >= k:
             break
@@ -89,12 +84,13 @@ def _sliding_windows(series: np.ndarray, window: int, stride: int) -> np.ndarray
     return sliding_window_view(series, window, axis=0)[::stride]
 
 
-@dataclass
+@dataclass(eq=False)
 class ServiceSubspace:
     """Per-feature Fourier bases forming one service's normal pattern.
 
     ``bases[f]`` is the :class:`FourierBasis` selected for feature ``f``.
     All features share ``k`` so projections stack into one tensor.
+    Compared by identity, like :class:`FourierBasis`.
     """
 
     bases: List[FourierBasis]
@@ -113,15 +109,15 @@ class ServiceSubspace:
         self._inverse = np.stack([basis.inverse for basis in self.bases])
 
     @classmethod
-    def fit(cls, series: np.ndarray, window: int, k: int, stride: int = 1,
-            include_dc: bool = True) -> "ServiceSubspace":
+    def fit(cls, series: np.ndarray, window: int, k: int,
+            stride: int = 1) -> "ServiceSubspace":
         """Learn the subspace from a training series ``(T_total, m)``."""
         if series.ndim == 1:
             series = series[:, None]
         bases = []
         for feature in range(series.shape[1]):
             windows = _sliding_windows(series[:, feature], window, stride)
-            indices = select_dominant_bases(windows, k, include_dc=include_dc)
+            indices = select_dominant_bases(windows, k)
             bases.append(FourierBasis(window, indices))
         return cls(bases)
 
@@ -147,98 +143,12 @@ class ServiceSubspace:
         """``(m, k)`` selected frequencies in cycles/sample."""
         return np.stack([basis.frequencies for basis in self.bases])
 
-    def project(self, windows: np.ndarray) -> np.ndarray:
-        """``(N, T, m) -> (N, m, 2k)`` interleaved Re/Im coefficients."""
-        batch = np.moveaxis(np.asarray(windows), -1, 1)  # (N, m, T)
-        return np.einsum("nmt,mct->nmc", batch, self._forward, optimize=True)
-
-    def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
-        """``(N, m, 2k) -> (N, T, m)`` synthesis."""
-        batch = np.einsum("nmc,mtc->nmt", np.asarray(coeffs), self._inverse,
-                          optimize=True)
-        return np.moveaxis(batch, 1, -1)
-
-    def coverage(self, windows: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-        """Per-window normal-energy coverage ``Σ_{i≤k} q(ω_i)`` (Corollary 1).
-
-        Values above ``k / n`` are the regime where Theorem 2 guarantees a
-        positive reconstruction-error gap.
-        """
-        batch = np.moveaxis(np.asarray(windows), -1, 1)  # (N, m, T)
-        amplitude = rfft_amplitude(batch)
-        total = amplitude.sum(axis=-1)
-        selected = np.stack(
-            [amplitude[:, f, basis.indices].sum(axis=-1)
-             for f, basis in enumerate(self.bases)], axis=1,
-        )
-        return selected / np.maximum(total, eps)
-
     def to_dict(self) -> dict:
         return {"bases": [basis.to_dict() for basis in self.bases]}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ServiceSubspace":
         return cls([FourierBasis.from_dict(b) for b in payload["bases"]])
-
-
-class SubspaceBank:
-    """Normal-pattern subspaces for a fleet of services (the unified model).
-
-    The bank is the "memory" that lets one model serve many normal patterns:
-    model weights are shared, the subspace is looked up per service.
-    """
-
-    def __init__(self, window: int, k: int, stride: int = 1, include_dc: bool = True):
-        self.window = window
-        self.k = k
-        self.stride = stride
-        self.include_dc = include_dc
-        self._subspaces: Dict[str, ServiceSubspace] = {}
-
-    def fit_service(self, service_id: str, series: np.ndarray) -> ServiceSubspace:
-        """Learn and store the subspace for one service's training series."""
-        subspace = ServiceSubspace.fit(
-            series, self.window, self.k, stride=self.stride,
-            include_dc=self.include_dc,
-        )
-        self._subspaces[service_id] = subspace
-        return subspace
-
-    def add(self, service_id: str, subspace: ServiceSubspace) -> None:
-        if subspace.window != self.window:
-            raise ValueError("subspace window mismatch")
-        self._subspaces[service_id] = subspace
-
-    def get(self, service_id: str) -> ServiceSubspace:
-        if service_id not in self._subspaces:
-            raise KeyError(f"no subspace fitted for service {service_id!r}")
-        return self._subspaces[service_id]
-
-    def __contains__(self, service_id: str) -> bool:
-        return service_id in self._subspaces
-
-    def __len__(self) -> int:
-        return len(self._subspaces)
-
-    def service_ids(self) -> List[str]:
-        return list(self._subspaces)
-
-    def to_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "k": self.k,
-            "stride": self.stride,
-            "include_dc": self.include_dc,
-            "subspaces": {sid: s.to_dict() for sid, s in self._subspaces.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SubspaceBank":
-        bank = cls(payload["window"], payload["k"], payload["stride"],
-                   payload["include_dc"])
-        for service_id, sub in payload["subspaces"].items():
-            bank.add(service_id, ServiceSubspace.from_dict(sub))
-        return bank
 
 
 class ContextAwareDFT(Module):

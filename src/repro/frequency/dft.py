@@ -1,7 +1,9 @@
-"""Full-spectrum DFT helpers built on ``numpy.fft``.
+"""Full-spectrum amplitude helper built on ``numpy.fft``.
 
-These are the statistics-side tools (Tables II/III, Fig. 5a use them); the
-differentiable, subset-based transforms live in
+:func:`rfft_amplitude` ranks bases during subspace selection
+(:mod:`repro.frequency.context_aware`), feeds the spectrum statistics of
+Tables II/III and Fig. 5a (:mod:`repro.frequency.spectrum`), and scores the
+serving fallback.  The differentiable, subset-based transforms live in
 :mod:`repro.frequency.basis` and :mod:`repro.frequency.context_aware`.
 """
 
@@ -9,56 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "rfft_coefficients",
-    "rfft_amplitude",
-    "irfft_signal",
-    "power_spectrum",
-    "dominant_indices",
-    "normalized_spectrum",
-]
-
-
-def rfft_coefficients(x: np.ndarray) -> np.ndarray:
-    """Complex rFFT over the last axis."""
-    return np.fft.rfft(x, axis=-1)
+__all__ = ["rfft_amplitude"]
 
 
 def rfft_amplitude(x: np.ndarray) -> np.ndarray:
     """Amplitude spectrum ``|rfft(x)|`` over the last axis."""
     return np.abs(np.fft.rfft(x, axis=-1))
-
-
-def irfft_signal(coeffs: np.ndarray, window: int) -> np.ndarray:
-    """Inverse of :func:`rfft_coefficients` for a known window length."""
-    return np.fft.irfft(coeffs, n=window, axis=-1)
-
-
-def power_spectrum(x: np.ndarray) -> np.ndarray:
-    """Squared amplitude spectrum."""
-    amplitude = rfft_amplitude(x)
-    return amplitude * amplitude
-
-
-def dominant_indices(x: np.ndarray, k: int, skip_dc: bool = True) -> np.ndarray:
-    """Indices of the ``k`` strongest rFFT bins of a single window.
-
-    The DC bin mostly encodes the window mean; the paper's "strongest
-    signals" are oscillatory components, so DC is skipped by default.
-    """
-    amplitude = rfft_amplitude(x)
-    if amplitude.ndim != 1:
-        raise ValueError("dominant_indices expects a single 1-D window")
-    if skip_dc:
-        amplitude = amplitude.copy()
-        amplitude[0] = -np.inf
-    k = min(k, amplitude.size if not skip_dc else amplitude.size - 1)
-    order = np.argsort(amplitude)[::-1]
-    return np.sort(order[:k])
-
-
-def normalized_spectrum(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Amplitudes normalised to sum to one over the last axis (paper Def. 2)."""
-    amplitude = rfft_amplitude(x)
-    total = amplitude.sum(axis=-1, keepdims=True)
-    return amplitude / np.maximum(total, eps)

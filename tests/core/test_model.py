@@ -70,7 +70,6 @@ class TestPatternExtractor:
         assert "svc" in extractor
         dft, idft = extractor.transforms("svc")
         assert dft.subspace is extractor.subspace("svc")
-        assert extractor.coefficient_width("svc") == 8
 
     def test_transform_cache_invalidated_on_refit(self, rng):
         extractor = PatternExtractor(window=40, num_bases=4)
@@ -90,6 +89,38 @@ class TestPatternExtractor:
     def test_unknown_service(self):
         with pytest.raises(KeyError):
             PatternExtractor(40, 4).subspace("nope")
+
+    def test_dict_roundtrip(self, rng):
+        extractor = PatternExtractor(window=40, num_bases=4, stride=2)
+        extractor.fit(["a", "b"], [_periodic(600, 16, 2, rng),
+                                   _periodic(600, 10, 1, rng)])
+        block = extractor.to_dict()
+        clone = PatternExtractor(window=40, num_bases=4, stride=2)
+        clone.load_dict(block)
+        assert clone.to_dict() == block
+        assert "a" in clone and "b" in clone
+        for sid in ("a", "b"):
+            assert (clone.subspace(sid)._forward.tobytes()
+                    == extractor.subspace(sid)._forward.tobytes())
+
+    def test_load_dict_replaces_subspaces_and_transforms(self, rng):
+        extractor = PatternExtractor(window=40, num_bases=4)
+        extractor.fit_service("old", _periodic(600, 16, 2, rng))
+        stale, _ = extractor.transforms("old")
+        source = PatternExtractor(window=40, num_bases=4)
+        source.fit_service("new", _periodic(600, 10, 2, rng))
+        extractor.load_dict(source.to_dict())
+        assert "old" not in extractor and "new" in extractor
+        assert extractor.transforms("new")[0] is not stale
+
+    def test_window_mismatch_rejected(self, rng):
+        foreign = PatternExtractor(window=20, num_bases=4)
+        foreign.fit_service("svc", _periodic(600, 16, 2, rng))
+        extractor = PatternExtractor(window=40, num_bases=4)
+        extractor.fit_service("kept", _periodic(600, 16, 2, rng))
+        with pytest.raises(ValueError, match="window mismatch"):
+            extractor.load_dict(foreign.to_dict())
+        assert "kept" in extractor and "svc" not in extractor
 
 
 class TestMaceModel:

@@ -34,7 +34,27 @@ class TestPersistence:
         manifest = save_detector(detector, tmp_path / "model")
         restored = load_detector(manifest)
         clone = restored.score(service.service_id, service.test)
-        np.testing.assert_allclose(clone, original, atol=1e-10)
+        assert clone.tobytes() == original.tobytes()
+
+    def test_subspaces_block_layout(self, tiny_dataset, tmp_path):
+        """The block's layout is the on-disk format: detectors saved by
+        earlier versions must keep loading, so its keys are pinned."""
+        detector = _fitted_detector(tiny_dataset)
+        manifest = json.loads(save_detector(detector, tmp_path / "model")
+                              .read_text())
+        block = manifest["subspaces"]
+        assert list(block) == ["window", "k", "stride", "include_dc",
+                               "subspaces"]
+        assert block["window"] == 40 and block["k"] == 6
+        assert block["stride"] == detector.config.subspace_stride
+        assert block["include_dc"] is True
+        assert list(block["subspaces"]) == [s.service_id for s in tiny_dataset]
+        for subspace in block["subspaces"].values():
+            assert list(subspace) == ["bases"]
+            for basis in subspace["bases"]:
+                assert list(basis) == ["window", "indices"]
+                assert basis["window"] == 40
+                assert basis["indices"][0] == 0 and len(basis["indices"]) == 6
 
     def test_restored_detector_keeps_config(self, tiny_dataset, tmp_path):
         detector = _fitted_detector(tiny_dataset)
@@ -89,6 +109,38 @@ class TestTypedLoadErrors:
         del manifest["subspaces"]
         stem.with_suffix(".json").write_text(json.dumps(manifest))
         with pytest.raises(CorruptArtifactError, match="missing keys"):
+            load_detector(stem)
+
+    def _rewrite_subspaces(self, saved, tmp_path, edit):
+        stem = self._copy(saved, tmp_path)
+        manifest = json.loads(stem.with_suffix(".json").read_text())
+        edit(manifest["subspaces"])
+        stem.with_suffix(".json").write_text(json.dumps(manifest))
+        return stem
+
+    def test_subspaces_not_a_mapping(self, saved, tmp_path):
+        def edit(block):
+            block["subspaces"] = list(block["subspaces"].values())
+        stem = self._rewrite_subspaces(saved, tmp_path, edit)
+        with pytest.raises(CorruptArtifactError, match="subspaces block"):
+            load_detector(stem)
+
+    def test_subspace_indices_out_of_range(self, saved, tmp_path):
+        def edit(block):
+            first = next(iter(block["subspaces"].values()))
+            first["bases"][0]["indices"][-1] = 21  # window 40 has bins 0..20
+        stem = self._rewrite_subspaces(saved, tmp_path, edit)
+        with pytest.raises(CorruptArtifactError, match="must lie in"):
+            load_detector(stem)
+
+    def test_subspace_window_mismatch(self, saved, tmp_path):
+        def edit(block):
+            first = next(iter(block["subspaces"].values()))
+            for basis in first["bases"]:
+                basis["window"] = 20
+                basis["indices"] = [0, 1, 2, 3, 4, 5]
+        stem = self._rewrite_subspaces(saved, tmp_path, edit)
+        with pytest.raises(CorruptArtifactError, match="window mismatch"):
             load_detector(stem)
 
     def test_missing_weights_file(self, saved, tmp_path):

@@ -8,8 +8,12 @@ from repro.frequency import (
     fourier_forward_matrix,
     fourier_inverse_matrix,
     num_rfft_bins,
-    rfft_bin_frequencies,
 )
+
+
+def _project(basis, x):
+    """Orthogonal projection of ``x`` onto the basis: synthesis of analysis."""
+    return (basis.inverse @ (basis.forward @ x.T)).T
 
 
 class TestBinHelpers:
@@ -22,7 +26,7 @@ class TestBinHelpers:
             num_rfft_bins(1)
 
     def test_bin_frequencies(self):
-        freqs = rfft_bin_frequencies(8)
+        freqs = FourierBasis.full(8).frequencies
         np.testing.assert_allclose(freqs, np.arange(5) / 8)
 
 
@@ -59,14 +63,14 @@ class TestFourierBasis:
         for window in (8, 9, 40):
             basis = FourierBasis.full(window)
             x = rng.normal(size=(5, window))
-            np.testing.assert_allclose(basis.reconstruct(basis.project(x)), x,
+            np.testing.assert_allclose(_project(basis, x), x,
                                        atol=1e-10)
 
     def test_projection_is_idempotent(self, rng):
         basis = FourierBasis(16, [0, 2, 5])
         x = rng.normal(size=16)
-        once = basis.reconstruct(basis.project(x))
-        twice = basis.reconstruct(basis.project(once))
+        once = _project(basis, x)
+        twice = _project(basis, once)
         np.testing.assert_allclose(once, twice, atol=1e-10)
 
     def test_pure_tone_in_subset_is_exact(self):
@@ -74,7 +78,7 @@ class TestFourierBasis:
         t = np.arange(window)
         x = 2.0 * np.sin(2 * np.pi * 3 * t / window + 0.4)
         basis = FourierBasis(window, [3])
-        np.testing.assert_allclose(basis.reconstruct(basis.project(x)), x,
+        np.testing.assert_allclose(_project(basis, x), x,
                                    atol=1e-10)
 
     def test_pure_tone_outside_subset_is_killed(self):
@@ -82,7 +86,7 @@ class TestFourierBasis:
         t = np.arange(window)
         x = np.sin(2 * np.pi * 3 * t / window)
         basis = FourierBasis(window, [5])
-        np.testing.assert_allclose(basis.reconstruct(basis.project(x)), 0.0,
+        np.testing.assert_allclose(_project(basis, x), 0.0,
                                    atol=1e-10)
 
     def test_amplitudes(self):
@@ -90,7 +94,8 @@ class TestFourierBasis:
         t = np.arange(window)
         x = 3.0 * np.cos(2 * np.pi * 2 * t / window)
         basis = FourierBasis(window, [2])
-        amplitude = basis.amplitudes(basis.project(x))
+        coeffs = basis.forward @ x
+        amplitude = np.hypot(coeffs[0::2], coeffs[1::2])
         np.testing.assert_allclose(amplitude, [3.0 * window / 2], atol=1e-9)
 
     def test_indices_deduplicated_and_sorted(self):
@@ -108,19 +113,28 @@ class TestFourierBasis:
         np.testing.assert_array_equal(clone.indices, basis.indices)
         assert clone.window == basis.window
 
-    def test_shape_validation(self, rng):
-        basis = FourierBasis(16, [1])
+    def test_shape_validation(self):
+        basis = FourierBasis(16, [1, 4])
+        assert basis.forward.shape == (4, 16)
+        assert basis.inverse.shape == (16, 4)
         with pytest.raises(ValueError):
-            basis.project(rng.normal(size=8))
+            FourierBasis(16, [9])  # window 16 has bins 0..8
         with pytest.raises(ValueError):
-            basis.reconstruct(rng.normal(size=3))
+            FourierBasis(1, [0])
 
     def test_nyquist_handling_even_window(self, rng):
         window = 8
         basis = FourierBasis(window, [0, 4])  # DC + Nyquist
         x = rng.normal(size=window)
         # Projection onto DC+Nyquist: mean + alternating component
-        projected = basis.reconstruct(basis.project(x))
+        projected = _project(basis, x)
         alternating = ((-1.0) ** np.arange(window))
         expected = x.mean() + (x * alternating).mean() * alternating
         np.testing.assert_allclose(projected, expected, atol=1e-10)
+
+    def test_compared_by_identity(self):
+        basis = FourierBasis(8, [1, 2])
+        twin = FourierBasis(8, [1, 2])
+        assert basis == basis
+        assert basis != twin
+        assert len({basis, twin, basis}) == 2

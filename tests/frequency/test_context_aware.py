@@ -6,9 +6,10 @@ import pytest
 from repro.frequency import (
     ContextAwareDFT,
     ContextAwareIDFT,
+    FourierBasis,
     ServiceSubspace,
-    SubspaceBank,
     count_basis_incidence,
+    rfft_amplitude,
     select_dominant_bases,
 )
 from repro.nn import Tensor, gradcheck
@@ -40,11 +41,6 @@ class TestSelection:
         assert 5 in selected          # period 8 -> bin 5
         assert selected.size == 4
 
-    def test_select_without_dc(self, rng):
-        windows = rng.normal(size=(50, 16))
-        selected = select_dominant_bases(windows, 3, include_dc=False)
-        assert selected.size == 3
-
     def test_k_validation(self, rng):
         with pytest.raises(ValueError):
             select_dominant_bases(rng.normal(size=(10, 16)), 0)
@@ -65,35 +61,39 @@ class TestServiceSubspace:
         series = _periodic_series(1000, [20.0, 8.0], rng)
         subspace = ServiceSubspace.fit(series, window=40, k=4)
         windows = np.stack([series[i:i + 40] for i in range(6)])
-        coeffs = subspace.project(windows)
+        coeffs = ContextAwareDFT(subspace)(Tensor(windows))
         assert coeffs.shape == (6, 2, 8)
-        back = subspace.reconstruct(coeffs)
+        back = ContextAwareIDFT(subspace)(coeffs)
         assert back.shape == (6, 40, 2)
 
     def test_full_spectrum_subspace_exact(self, rng):
         subspace = ServiceSubspace.full_spectrum(window=20, num_features=3)
         windows = rng.normal(size=(4, 20, 3))
-        back = subspace.reconstruct(subspace.project(windows))
-        np.testing.assert_allclose(back, windows, atol=1e-10)
+        back = ContextAwareIDFT(subspace)(ContextAwareDFT(subspace)(Tensor(windows)))
+        np.testing.assert_allclose(back.data, windows, atol=1e-10)
+
+    @staticmethod
+    def _selected_share(subspace, windows):
+        """Share of each window's amplitude held by the selected bases."""
+        amplitude = rfft_amplitude(np.moveaxis(windows, -1, 1))  # (N, m, B)
+        indices = np.stack([basis.indices for basis in subspace.bases])
+        selected = np.take_along_axis(amplitude, indices[None], axis=-1)
+        return selected.sum(axis=-1) / amplitude.sum(axis=-1)
 
     def test_coverage_high_for_matching_pattern(self, rng):
         series = _periodic_series(2000, [20.0], rng)
         subspace = ServiceSubspace.fit(series, window=40, k=3)
         windows = np.stack([series[i:i + 40] for i in range(0, 200, 10)])
-        coverage = subspace.coverage(windows)
-        assert coverage.mean() > 0.5
+        assert self._selected_share(subspace, windows).mean() > 0.5
 
     def test_coverage_low_for_foreign_pattern(self, rng):
         own = _periodic_series(2000, [20.0], rng)
         subspace = ServiceSubspace.fit(own, window=40, k=2)
         foreign = _periodic_series(400, [7.0], rng)
         windows = np.stack([foreign[i:i + 40] for i in range(0, 200, 10)])
-        coverage = subspace.coverage(windows)
-        assert coverage.mean() < 0.6
+        assert self._selected_share(subspace, windows).mean() < 0.6
 
     def test_mixed_k_rejected(self):
-        from repro.frequency import FourierBasis
-
         with pytest.raises(ValueError):
             ServiceSubspace([FourierBasis(16, [1]), FourierBasis(16, [1, 2])])
 
@@ -101,57 +101,45 @@ class TestServiceSubspace:
         series = _periodic_series(1000, [20.0, 8.0], rng)
         subspace = ServiceSubspace.fit(series, window=40, k=3)
         clone = ServiceSubspace.from_dict(subspace.to_dict())
-        windows = rng.normal(size=(2, 40, 2))
-        np.testing.assert_allclose(clone.project(windows),
-                                   subspace.project(windows))
+        assert clone.window == subspace.window
+        for mine, theirs in zip(clone.bases, subspace.bases):
+            np.testing.assert_array_equal(mine.indices, theirs.indices)
+        assert clone._forward.tobytes() == subspace._forward.tobytes()
 
     def test_univariate_series_accepted(self, rng):
         series = _periodic_series(800, [10.0], rng)[:, 0]
         subspace = ServiceSubspace.fit(series, window=40, k=2)
         assert subspace.num_features == 1
 
-
-class TestSubspaceBank:
-    def test_fit_and_lookup(self, rng):
-        bank = SubspaceBank(window=40, k=3)
-        series = _periodic_series(800, [20.0], rng)
-        bank.fit_service("svc-a", series)
-        assert "svc-a" in bank
-        assert bank.get("svc-a").k == 3
-        assert len(bank) == 1
-
-    def test_missing_service_raises(self):
-        with pytest.raises(KeyError):
-            SubspaceBank(40, 3).get("nope")
-
-    def test_window_mismatch_rejected(self, rng):
-        bank = SubspaceBank(window=40, k=3)
-        foreign = ServiceSubspace.full_spectrum(window=20, num_features=1)
-        with pytest.raises(ValueError):
-            bank.add("bad", foreign)
-
-    def test_serialization(self, rng):
-        bank = SubspaceBank(window=40, k=3)
-        bank.fit_service("a", _periodic_series(800, [20.0], rng))
-        clone = SubspaceBank.from_dict(bank.to_dict())
-        np.testing.assert_array_equal(clone.get("a").bases[0].indices,
-                                      bank.get("a").bases[0].indices)
+    def test_compared_by_identity(self):
+        subspace = ServiceSubspace([FourierBasis(8, [1, 2])])
+        twin = ServiceSubspace([FourierBasis(8, [1, 2])])
+        assert subspace == subspace
+        assert subspace != twin
 
 
 class TestDifferentiableModules:
     def test_consistent_with_numpy_path(self, rng):
+        """Reference: ``np.fft.rfft`` at the selected bins, Re/Im
+        interleaved, and ``np.fft.irfft`` of the zero-filled spectrum."""
         series = _periodic_series(1000, [20.0, 8.0], rng)
         subspace = ServiceSubspace.fit(series, window=40, k=3)
         windows = rng.normal(size=(3, 40, 2))
-        dft = ContextAwareDFT(subspace)
-        idft = ContextAwareIDFT(subspace)
-        coeffs = dft(Tensor(windows))
-        np.testing.assert_allclose(coeffs.data, subspace.project(windows),
-                                   atol=1e-10)
-        back = idft(coeffs)
-        np.testing.assert_allclose(back.data,
-                                   subspace.reconstruct(coeffs.data),
-                                   atol=1e-10)
+        coeffs = ContextAwareDFT(subspace)(Tensor(windows))
+        back = ContextAwareIDFT(subspace)(coeffs)
+        spectrum = np.fft.rfft(windows, axis=1)  # (N, B, m)
+        for feature, basis in enumerate(subspace.bases):
+            selected = spectrum[:, basis.indices, feature]  # (N, k)
+            expected = np.empty((3, 2 * basis.k))
+            expected[:, 0::2] = selected.real
+            expected[:, 1::2] = selected.imag
+            np.testing.assert_allclose(coeffs.data[:, feature], expected,
+                                       atol=1e-10)
+            zero_filled = np.zeros_like(spectrum[:, :, feature])
+            zero_filled[:, basis.indices] = selected
+            np.testing.assert_allclose(back.data[:, :, feature],
+                                       np.fft.irfft(zero_filled, n=40, axis=-1),
+                                       atol=1e-10)
 
     def test_normalized_pair_is_consistent(self, rng):
         subspace = ServiceSubspace.full_spectrum(window=16, num_features=2)

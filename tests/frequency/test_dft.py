@@ -1,54 +1,10 @@
-"""Full-spectrum DFT helpers."""
+"""Full-spectrum amplitude helper."""
 
 import numpy as np
-import pytest
 
-from repro.frequency import (
-    dominant_indices,
-    irfft_signal,
-    normalized_spectrum,
-    power_spectrum,
-    rfft_amplitude,
-    rfft_coefficients,
-)
-
-
-def test_rfft_roundtrip(rng):
-    x = rng.normal(size=(3, 20))
-    np.testing.assert_allclose(irfft_signal(rfft_coefficients(x), 20), x,
-                               atol=1e-10)
+from repro.frequency import rfft_amplitude
 
 
 def test_amplitude_matches_abs(rng):
     x = rng.normal(size=17)
     np.testing.assert_allclose(rfft_amplitude(x), np.abs(np.fft.rfft(x)))
-
-
-def test_power_is_square(rng):
-    x = rng.normal(size=16)
-    np.testing.assert_allclose(power_spectrum(x), rfft_amplitude(x) ** 2)
-
-
-def test_dominant_indices_finds_tone():
-    window = 32
-    t = np.arange(window)
-    x = np.sin(2 * np.pi * 4 * t / window) + 0.1 * np.sin(2 * np.pi * 9 * t / window)
-    indices = dominant_indices(x, 2)
-    assert 4 in indices and 9 in indices
-
-
-def test_dominant_indices_skips_dc_by_default():
-    x = np.ones(16) * 100.0
-    indices = dominant_indices(x, 3)
-    assert 0 not in indices
-
-
-def test_dominant_indices_requires_1d(rng):
-    with pytest.raises(ValueError):
-        dominant_indices(rng.normal(size=(2, 8)), 2)
-
-
-def test_normalized_spectrum_sums_to_one(rng):
-    q = normalized_spectrum(rng.normal(size=(4, 30)))
-    np.testing.assert_allclose(q.sum(axis=-1), 1.0, atol=1e-9)
-    assert np.all(q >= 0)

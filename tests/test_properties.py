@@ -66,7 +66,7 @@ def test_projection_is_non_expansive(seed):
     indices = rng.choice(num_rfft_bins(window), size=k, replace=False)
     basis = FourierBasis(window, indices)
     x = rng.normal(size=window)
-    projected = basis.reconstruct(basis.project(x))
+    projected = basis.inverse @ (basis.forward @ x)
     assert np.linalg.norm(projected) <= np.linalg.norm(x) + 1e-9
 
 
