@@ -130,9 +130,10 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Sequence
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
-__all__ = ["Violation", "lint_source", "lint_paths", "main", "RULES"]
+__all__ = ["Violation", "lint_source", "lint_paths", "main", "RULES",
+           "emitted_event_kinds"]
 
 RULES = {
     "REP101": "bare np.random.* call (use repro.nn.random / default_rng)",
@@ -782,20 +783,16 @@ def _declared_event_kinds() -> frozenset:
     return frozenset(EVENT_KINDS)
 
 
-def _check_undeclared_event_kind(tree: ast.AST, path: str,
-                                 out: List[Violation]) -> None:
-    normalized = path.replace("\\", "/")
-    if "/src/" not in f"/{normalized}":
-        return
-    declared = _declared_event_kinds()
-    if not declared:
-        return
+def emitted_event_kinds(tree: ast.AST) -> Iterator[Tuple[ast.Call, str]]:
+    """Every emit call site in ``tree`` whose kind is a string literal,
+    as ``(call node, kind)``.  Variable kinds (forwarding wrappers) are
+    the plumbing, not the call site, and are not yielded."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call) or not node.args:
             continue
         first = node.args[0]
         if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
-            continue                      # variable kind: forwarding wrapper
+            continue
         func = node.func
         if isinstance(func, ast.Name):
             is_emit = func.id in _EMIT_NAMES
@@ -804,10 +801,23 @@ def _check_undeclared_event_kind(tree: ast.AST, path: str,
                 func.attr == "append" and bool(node.keywords))
         else:
             is_emit = False
-        if is_emit and first.value not in declared:
+        if is_emit:
+            yield node, first.value
+
+
+def _check_undeclared_event_kind(tree: ast.AST, path: str,
+                                 out: List[Violation]) -> None:
+    normalized = path.replace("\\", "/")
+    if "/src/" not in f"/{normalized}":
+        return
+    declared = _declared_event_kinds()
+    if not declared:
+        return
+    for node, kind in emitted_event_kinds(tree):
+        if kind not in declared:
             out.append(Violation(
                 path, node.lineno, node.col_offset, "REP114",
-                f"event kind {first.value!r} is not declared in "
+                f"event kind {kind!r} is not declared in "
                 "repro.obs.events.EVENT_KINDS; offline consumers drop "
                 "undeclared kinds — add it to the schema registry",
             ))

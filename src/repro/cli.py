@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="run directory (e.g. a train-fleet --dir)")
     obs_top = obs_sub.add_parser(
         "top",
-        help="live ops console: health, queues, error budgets, burns",
+        help="live ops console: health, queues, ack latency",
     )
     obs_top.add_argument("--dir", dest="directory", required=True,
                          help="run directory (live or finished)")

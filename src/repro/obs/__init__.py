@@ -22,13 +22,9 @@ reproduction measures it from the inside (DESIGN.md §11):
     :class:`TraceContext` minted at gateway admission, the wire format
     that rides WAL frames and worker IPC, and the append-only
     ``spans.jsonl`` trace sink with offline tree assembly.
-``repro.obs.slo``
-    Declarative SLOs over the streaming metrics: error budgets,
-    multi-window burn-rate alerts (``slo_burn`` events), and the
-    budget/burn gauges behind ``repro obs top``.
 ``repro.obs.console``
     ``repro obs top`` — the live ops console (service health, shard
-    queues, budgets, active burns) rendered from JSONL alone.
+    queues, ack latency) rendered from JSONL alone.
 
 Everything is off-or-cheap by default: metrics always record (a few
 float ops per event), tracing must be enabled explicitly, and the event
@@ -73,12 +69,6 @@ from repro.obs.propagate import (
     spans_by_trace,
 )
 from repro.obs.report import RunTelemetry, load_run, render_report
-from repro.obs.slo import (
-    DEFAULT_WINDOWS,
-    BurnWindow,
-    SloEngine,
-    SloObjective,
-)
 from repro.obs.console import render_top, run_top
 
 __all__ = [
@@ -91,7 +81,6 @@ __all__ = [
     "install_event_log", "read_events",
     "TraceContext", "TraceLog", "build_trace_tree", "read_trace_spans",
     "render_trace_tree", "spans_by_trace",
-    "SloObjective", "BurnWindow", "SloEngine", "DEFAULT_WINDOWS",
     "RunTelemetry", "load_run", "render_report",
     "render_top", "run_top",
 ]

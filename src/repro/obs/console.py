@@ -1,17 +1,16 @@
 """``repro obs top`` — a live ops console rendered from JSONL alone.
 
-The gateway, the SLO engine, and the serving runtime leave their whole
-story in a run directory: ``events.jsonl`` (health transitions, overload
-ladder, burns), ``metrics.jsonl`` (queue gauges, latency histograms,
-budget gauges), ``spans.jsonl`` (traces).  This module re-reads those
-artifacts — through the same torn-line-tolerant loaders the report uses,
-so a console pointed at a *live* run directory mid-write never crashes —
-and renders the one-screen view an operator actually wants:
+The gateway and the serving runtime leave their whole story in a run
+directory: ``events.jsonl`` (health transitions, overload ladder),
+``metrics.jsonl`` (queue gauges, latency histograms), ``spans.jsonl``
+(traces).  This module re-reads those artifacts — through the same
+torn-line-tolerant loaders the report uses, so a console pointed at a
+*live* run directory mid-write never crashes — and renders the
+one-screen view an operator actually wants:
 
 * per-service health (latest transition wins),
 * shard queue occupancy and queue-wait quantiles,
-* per-objective error budget remaining and the burn windows firing,
-* the most recent ``slo_burn`` alerts and the ack latency summary.
+* the ack latency summary with its worst trace.
 
 ``render_top`` is a pure function of the directory contents (the clock
 on screen is the *event* clock, i.e. the tick clock when the run
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.obs.metrics import Gauge, Histogram
 from repro.obs.report import RunTelemetry, load_run
@@ -32,6 +31,9 @@ from repro.obs.report import RunTelemetry, load_run
 __all__ = ["render_top", "run_top"]
 
 _CLEAR = "\x1b[2J\x1b[H"
+# ``HealthState.HEALTHY.value``: ``health_transition`` events carry the
+# enum values, and obs must not import the runtime it observes.
+_HEALTHY = "healthy"
 
 
 def render_top(directory: str | Path) -> str:
@@ -41,13 +43,11 @@ def render_top(directory: str | Path) -> str:
         _render_header(telemetry),
         _render_services(telemetry),
         _render_queues(telemetry),
-        _render_budgets(telemetry),
-        _render_alerts(telemetry),
         _render_acks(telemetry),
     ]
     body = "\n".join(section for section in sections if section)
     if body == sections[0]:
-        body += "\n  (no service, queue, or slo telemetry yet)"
+        body += "\n  (no service, queue, or ack telemetry yet)"
     return body
 
 
@@ -100,7 +100,7 @@ def _render_services(telemetry: RunTelemetry) -> Optional[str]:
             continue
         service = str(event.get("service", "?"))
         tick = int(event.get("tick", 0))
-        latest[service] = (tick, str(event.get("to", "?")))
+        latest[service] = (tick, str(event.get("to_state", "?")))
     services = set(latest)
     for metric in telemetry.metrics.collect("serving.update_seconds"):
         service = dict(metric.labels).get("service")
@@ -110,14 +110,14 @@ def _render_services(telemetry: RunTelemetry) -> Optional[str]:
         return None
     counts: Dict[str, int] = {}
     for service in services:
-        state = latest.get(service, (0, "HEALTHY"))[1]
+        state = latest.get(service, (0, _HEALTHY))[1]
         counts[state] = counts.get(state, 0) + 1
-    summary = "  ".join(f"{state.lower()} {count}"
+    summary = "  ".join(f"{state} {count}"
                         for state, count in sorted(counts.items()))
     lines = [f"services ({len(services)}): {summary}"]
     for service in sorted(services):
-        tick, state = latest.get(service, (None, "HEALTHY"))
-        if state == "HEALTHY":
+        tick, state = latest.get(service, (None, _HEALTHY))
+        if state == _HEALTHY:
             continue                     # only the exceptions need lines
         lines.append(f"  {service:<14} {state:<12} since tick {tick}")
     return "\n".join(lines)
@@ -143,61 +143,6 @@ def _render_queues(telemetry: RunTelemetry) -> Optional[str]:
             line += (f"   wait p50 {1e3 * wait.quantile(0.5):.2f} ms"
                      f" p99 {1e3 * wait.quantile(0.99):.2f} ms")
         lines.append(line)
-    return "\n".join(lines)
-
-
-def _render_budgets(telemetry: RunTelemetry) -> Optional[str]:
-    budgets: Dict[str, float] = {}
-    for metric in telemetry.metrics.collect("slo.budget_remaining"):
-        if isinstance(metric, Gauge):
-            budgets[dict(metric.labels).get("objective", "?")] = metric.value
-    burns: Dict[str, List[Tuple[str, float]]] = {}
-    for metric in telemetry.metrics.collect("slo.burn_rate"):
-        if isinstance(metric, Gauge):
-            labels = dict(metric.labels)
-            burns.setdefault(labels.get("objective", "?"), []).append(
-                (labels.get("window", "?"), metric.value))
-    firing = _active_windows(telemetry)
-    if not budgets and not burns:
-        return None
-    lines = ["slo budgets"]
-    for objective in sorted(set(budgets) | set(burns)):
-        line = f"  {objective:<26}"
-        budget = budgets.get(objective)
-        if budget is not None:
-            line += f" budget {100.0 * budget:>6.1f}%"
-        for window, rate in sorted(burns.get(objective, [])):
-            line += f"  burn[{window}] {rate:.1f}x"
-        active = sorted(firing.get(objective, ()))
-        line += f"  FIRING {','.join(active)}" if active else "  ok"
-        lines.append(line)
-    return "\n".join(lines)
-
-
-def _active_windows(telemetry: RunTelemetry) -> Dict[str, set]:
-    state: Dict[str, Dict[str, bool]] = {}
-    for event in telemetry.fleet_events:
-        kind = event.get("kind")
-        if kind not in ("slo_burn", "slo_recover"):
-            continue
-        objective = str(event.get("objective", "?"))
-        window = str(event.get("window", "?"))
-        state.setdefault(objective, {})[window] = (kind == "slo_burn")
-    return {objective: {w for w, on in windows.items() if on}
-            for objective, windows in state.items()}
-
-
-def _render_alerts(telemetry: RunTelemetry) -> Optional[str]:
-    burns = [event for event in telemetry.fleet_events
-             if event.get("kind") == "slo_burn"]
-    if not burns:
-        return None
-    lines = [f"alerts (slo_burn): {len(burns)}"]
-    for event in burns[-5:]:
-        lines.append(
-            f"  tick {_clock(event.get('tick', event.get('ts', 0))):>5}  "
-            f"{event.get('objective', '?'):<26} window={event.get('window')}"
-            f" burn {float(event.get('burn_short', 0.0)):.1f}x")
     return "\n".join(lines)
 
 

@@ -54,7 +54,9 @@ SCHEMA_VERSION = 1
 # log accepts any kind string (forward compatibility), but sticking to
 # the catalogue keeps `repro obs report` able to tell the whole story.
 EVENT_KINDS = frozenset({
-    "health_transition",     # service, from, to, tick
+    "health_transition",     # service, from_state, to_state, tick,
+    #                        # ticks_in_state, transition_count,
+    #                        # last_transition_tick
     "breaker_trip",          # service, failures
     "checkpoint_save",       # path, epoch
     "checkpoint_rewind",     # epoch, rewound_to, reason, loss, lr
@@ -88,10 +90,6 @@ EVENT_KINDS = frozenset({
     "tenant_shed",           # tenant, service
     "drain_start",           # pending
     "drain_complete",        # shards
-    # SLO engine (repro.obs.slo)
-    "slo_burn",              # objective, window, burn_short, burn_long,
-    #                        # budget_remaining, tick, service
-    "slo_recover",           # objective, window, tick
 })
 
 

@@ -31,7 +31,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.obs.metrics import Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.events import read_events
 from repro.obs.propagate import render_trace_tree
 from repro.obs.tracing import aggregate_spans
@@ -113,7 +113,7 @@ def render_report(directory: str | Path) -> str:
     sections = []
     for renderer in (_render_attempts, _render_epochs, _render_phases,
                      _render_remediation, _render_remediation_timeline,
-                     _render_gateway, _render_slo, _render_exemplars):
+                     _render_gateway, _render_exemplars):
         text = renderer(telemetry)
         if text:
             sections.append(text)
@@ -407,66 +407,8 @@ def _render_gateway(telemetry: RunTelemetry) -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
-# SLOs and exemplars (repro.obs.slo / distributed tracing)
+# Exemplars (distributed tracing)
 # ----------------------------------------------------------------------
-_SLO_KINDS = frozenset({"slo_burn", "slo_recover"})
-
-
-def _slo_events(telemetry: RunTelemetry) -> List[dict]:
-    events = [e for e in telemetry.fleet_events
-              if e.get("kind") in _SLO_KINDS]
-    for group_events in telemetry.group_events.values():
-        events.extend(e for e in group_events
-                      if e.get("kind") in _SLO_KINDS)
-    return sorted(events, key=lambda e: (e.get("tick", 0), e.get("seq", 0)))
-
-
-def _render_slo(telemetry: RunTelemetry) -> Optional[str]:
-    """SLO section: per-objective budget remaining, burn counts, and the
-    windows still firing — from the ``slo.*`` gauges and the
-    ``slo_burn`` / ``slo_recover`` event stream."""
-    events = _slo_events(telemetry)
-    budgets: Dict[str, float] = {}
-    for metric in telemetry.metrics.collect("slo.budget_remaining"):
-        if isinstance(metric, Gauge):
-            objective = dict(metric.labels).get("objective", "?")
-            budgets[objective] = metric.value
-    if not events and not budgets:
-        return None
-    burns: Dict[str, int] = {}
-    active: Dict[str, Dict[str, bool]] = {}
-    for event in events:
-        objective = str(event.get("objective", "?"))
-        window = str(event.get("window", "?"))
-        if event["kind"] == "slo_burn":
-            burns[objective] = burns.get(objective, 0) + 1
-            active.setdefault(objective, {})[window] = True
-        else:
-            active.setdefault(objective, {})[window] = False
-    rows = []
-    for objective in sorted(set(budgets) | set(burns)):
-        firing = sorted(window for window, on
-                        in active.get(objective, {}).items() if on)
-        budget = budgets.get(objective)
-        rows.append((
-            objective,
-            f"{100.0 * budget:.1f}%" if budget is not None else "-",
-            burns.get(objective, 0),
-            ",".join(firing) if firing else "-",
-        ))
-    lines = [_format_table(
-        ("objective", "budget left", "burns", "firing"),
-        rows, title="slo status")]
-    shown = [e for e in events if e["kind"] == "slo_burn"][-10:]
-    for event in shown:
-        lines.append(
-            f"  tick {event.get('tick', '?'):>5}  slo_burn   "
-            f"{event.get('objective', '?'):<24} window={event.get('window')}"
-            f" burn {float(event.get('burn_short', 0.0)):.1f}x"
-            f" budget {100.0 * float(event.get('budget_remaining', 0.0)):.1f}%")
-    return "\n".join(lines)
-
-
 def _render_exemplars(telemetry: RunTelemetry) -> Optional[str]:
     """Exemplar section: for every histogram that carried trace
     exemplars, the worst-bucket trace id — then the full trace tree of

@@ -18,8 +18,8 @@ chaos suite's measuring instrument:
   ``(seed, service index, t)``, so every run submits the same floats.
 
 :class:`ZScoreDetector` is the cheap, picklable scorer the gateway's
-tests, benchmark, and CLI share — the subject under test is the serving
-machinery, not the model.
+tests, benchmark, CLI and the remediation drill share — the subject
+under test is the serving or remediation machinery, not the model.
 """
 
 from __future__ import annotations

@@ -235,29 +235,6 @@ class RemediationController:
         self.watch(service_id)
         self._open_incident(service_id, tick, trigger="breaker_trip")
 
-    def attach_slo(self, engine) -> None:
-        """Subscribe to an :class:`~repro.obs.slo.SloEngine`: every
-        ``slo_burn`` rising edge becomes an incident (trigger
-        ``slo_burn``) for the objective's attributed service.
-
-        Burns on objectives with no ``service`` attribution, on parked
-        services, or on services already under an active incident are
-        counted but do not open anything new.
-        """
-        engine.subscribe(self._on_slo_burn)
-
-    def _on_slo_burn(self, objective, alert: dict) -> None:
-        self.registry.counter("remediation.slo_burns",
-                              objective=objective.name).inc()
-        service_id = objective.service
-        if not service_id:
-            return
-        if service_id in self._parked or service_id in self._active:
-            return
-        self.watch(service_id)
-        self._open_incident(service_id, int(alert.get("tick", 0)),
-                            trigger="slo_burn")
-
     def _open_incident(self, service_id: str, tick: int,
                        trigger: str) -> Incident:
         incident = Incident(

@@ -60,6 +60,21 @@ class TestEventLog:
                 "attempt_start", "attempt_end", "retry", "group_done",
                 "group_failed"} <= EVENT_KINDS
 
+    def test_every_declared_kind_has_an_emitter(self):
+        # The inverse of lint rule REP114: a catalogue entry that no call
+        # site under src/ emits is a schema for events that never exist.
+        import ast
+        from pathlib import Path
+
+        import repro
+        from repro.analysis.lint import emitted_event_kinds
+
+        emitted = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            emitted.update(kind for _, kind in emitted_event_kinds(tree))
+        assert sorted(EVENT_KINDS - emitted) == []
+
 
 class TestFileBackedLog:
     def test_appends_jsonl_and_reads_back(self, tmp_path):

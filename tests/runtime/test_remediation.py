@@ -431,58 +431,6 @@ class TestControllerLoop:
         assert report["parked_services"] == []
 
 
-class TestSloAttachment:
-    """SloEngine burns are a first-class incident source."""
-
-    def _burning_engine(self, objective):
-        from repro.obs.metrics import MetricsRegistry
-        from repro.obs.slo import BurnWindow, SloEngine
-
-        registry = MetricsRegistry()
-        histogram = registry.histogram("gateway.ack_seconds")
-        engine = SloEngine(
-            [objective], registry=registry,
-            events=EventLog(clock=lambda: 0.0),
-            windows=(BurnWindow("fast", short_ticks=2, long_ticks=4,
-                                burn_threshold=10.0),))
-        return engine, histogram
-
-    def test_burn_opens_slo_incident_once(self):
-        from repro.obs.slo import SloObjective
-
-        loop = _Loop()
-        engine, histogram = self._burning_engine(
-            SloObjective("ack-p99", "latency", "gateway.ack_seconds",
-                         target=0.99, threshold=0.05, service="svc"))
-        loop.controller.attach_slo(engine)
-        for tick in range(1, 12):
-            histogram.observe(0.2)          # every ack blows the budget
-            engine.step(tick)
-        incidents = loop.incidents
-        assert len(incidents) == 1          # active incident absorbs more
-        assert incidents[0].trigger == "slo_burn"
-        assert incidents[0].service_id == "svc"
-        burns = loop.controller.registry.counter("remediation.slo_burns",
-                                                 objective="ack-p99")
-        assert burns.value >= 1.0
-
-    def test_unattributed_burn_counts_but_opens_nothing(self):
-        from repro.obs.slo import SloObjective
-
-        loop = _Loop()
-        engine, histogram = self._burning_engine(
-            SloObjective("fleet-p99", "latency", "gateway.ack_seconds",
-                         target=0.99, threshold=0.05))  # no service
-        loop.controller.attach_slo(engine)
-        for tick in range(1, 12):
-            histogram.observe(0.2)
-            engine.step(tick)
-        assert loop.incidents == []
-        burns = loop.controller.registry.counter("remediation.slo_burns",
-                                                 objective="fleet-p99")
-        assert burns.value >= 1.0
-
-
 class TestRemediationConfigValidation:
     def test_bounds(self):
         with pytest.raises(ValueError):

@@ -215,8 +215,8 @@ class TestServeCommand:
         assert "drained cleanly" in out
 
 
-def _slo_run_dir(path):
-    """A deterministic run directory exercising the SLO/trace surfaces.
+def _serving_run_dir(path):
+    """A deterministic run directory exercising the console/trace surfaces.
 
     Everything is tick-clocked and seeded — event timestamps, trace ids,
     histogram contents — so the rendered console and report are
@@ -225,19 +225,13 @@ def _slo_run_dir(path):
     from repro.obs.events import EventLog
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.propagate import TraceContext, TraceLog
-    from repro.obs.slo import BurnWindow, SloEngine, SloObjective
+    from repro.runtime.health import HealthState
 
     registry = MetricsRegistry()
     ack = registry.histogram("gateway.ack_seconds")
     tick_box = [0]
     log = EventLog(path / "events.jsonl",
                    clock=lambda: float(tick_box[0]))
-    engine = SloEngine(
-        [SloObjective("ack-p99", "latency", "gateway.ack_seconds",
-                      target=0.99, threshold=0.05, service="svc-0")],
-        registry=registry, events=log,
-        windows=(BurnWindow("fast", short_ticks=5, long_ticks=20,
-                            burn_threshold=10.0),))
     traces = TraceLog(path / "spans.jsonl")
     for tick in range(1, 31):
         tick_box[0] = tick
@@ -252,7 +246,6 @@ def _slo_run_dir(path):
                       parent_span_id=context.span_id, depth=1,
                       service="svc-0", sequence=tick, shard="shard-0",
                       incarnation=0, replay=False, duplicate=False)
-        engine.step(tick)
     registry.counter("gateway.accepted", tenant="default").inc(30)
     registry.gauge("gateway.queue_depth", shard="shard-0").set(3)
     wait = registry.histogram("gateway.queue_wait_seconds", shard="shard-0")
@@ -262,8 +255,11 @@ def _slo_run_dir(path):
                        service="svc-0").observe(0.004)
     registry.histogram("serving.update_seconds",
                        service="svc-1").observe(0.004)
+    # The exact payload ServingRuntime._report_transitions emits.
     log.emit("health_transition", service="svc-1",
-             **{"from": "HEALTHY", "to": "DEGRADED", "tick": 30})
+             from_state=HealthState.HEALTHY.value,
+             to_state=HealthState.DEGRADED.value, tick=30,
+             ticks_in_state=30, transition_count=1, last_transition_tick=0)
     registry.dump(path / "metrics.jsonl")
     log.close()
     traces.close()
@@ -271,29 +267,66 @@ def _slo_run_dir(path):
 
 
 class TestObsGoldens:
-    """Byte-identical console and report output for a synthetic SLO run."""
+    """Byte-identical console and report output for a synthetic serving
+    run."""
 
     def test_obs_top_once_matches_golden(self, tmp_path, capsys):
         from pathlib import Path
 
-        directory = _slo_run_dir(tmp_path)
+        directory = _serving_run_dir(tmp_path)
         assert main(["obs", "top", "--dir", str(directory), "--once"]) == 0
         golden = (Path(__file__).parent / "golden_obs_top.txt").read_text()
         assert capsys.readouterr().out == golden
 
-    def test_obs_report_slo_sections_match_golden(self, tmp_path, capsys):
+    def test_obs_report_matches_golden(self, tmp_path, capsys):
         from pathlib import Path
 
-        directory = _slo_run_dir(tmp_path)
+        directory = _serving_run_dir(tmp_path)
         assert main(["obs", "report", "--dir", str(directory)]) == 0
         out = capsys.readouterr().out
         golden = (Path(__file__).parent /
                   "golden_obs_report.txt").read_text()
         assert out == golden
         # The exemplar drill-down links the p99 to its trace tree.
-        assert "slo status" in out
         assert "latency exemplars" in out
         assert "worst gateway.ack_seconds trace:" in out
+
+
+class TestObsTopOnServingRuntime:
+    """The console reads the health events a real ServingRuntime writes."""
+
+    def test_quarantined_service_shows_its_state(self, tmp_path, capsys):
+        from repro.obs.events import EventLog, install_event_log
+        from repro.obs.metrics import MetricsRegistry
+        from repro.runtime.gateway.traffic import (
+            ZScoreDetector,
+            make_fleet_series,
+        )
+        from repro.runtime.serving import ServingRuntime
+
+        fleet = make_fleet_series(2, history_len=96, updates=3)
+        service_ids = sorted(fleet)
+        detector = ZScoreDetector().fit(
+            service_ids, [fleet[sid][:96] for sid in service_ids])
+        registry = MetricsRegistry()
+        runtime = ServingRuntime(detector, window=16, registry=registry)
+        with EventLog(tmp_path / "events.jsonl",
+                      clock=lambda: 0.0) as log:
+            previous = install_event_log(log)
+            try:
+                for sid in service_ids:
+                    runtime.start_service(sid, fleet[sid][:96])
+                    for row in fleet[sid][96:]:
+                        runtime.update(sid, row)
+                runtime.quarantine("svc-1")
+            finally:
+                install_event_log(previous)
+        registry.dump(tmp_path / "metrics.jsonl")
+
+        assert main(["obs", "top", "--dir", str(tmp_path), "--once"]) == 0
+        out = capsys.readouterr().out
+        assert "services (2): healthy 1  quarantined 1" in out
+        assert "  svc-1          quarantined  since tick 3" in out
 
 
 class TestTrafficCommand:
