@@ -136,17 +136,22 @@ class DualisticConv1d(Module):
         return Tensor(self.fixed_weight)
 
     def forward(self, x: Tensor) -> Tensor:
-        sign = -1.0 if (self.mode == "valley" and self.valley_mode == "negated") else 1.0
         gamma = float(self.gamma)
         if self.mode == "valley" and self.valley_mode == "negative_gamma":
             # Literal γ < −1: power the ε-clamped magnitude to −γ, keep sign.
-            clamped = x.abs().clip(self.eps, np.inf) * x.sign()
+            # Zeros clamp to +ε; scaling by sign(0) = 0 would hand odd_power
+            # a zero, whose negative power is infinite.
+            direction = Tensor(np.where(x.data < 0, -1.0, 1.0))
+            clamped = x.abs().clip(self.eps, np.inf) * direction
             powered = odd_power(clamped, -gamma) * (1.0 / self.sigma)
             conv = F.conv1d(powered, self._kernel(), stride=self.stride,
                             padding=self.padding)
             return odd_root(conv, -gamma)
+        # Valley is -peak(-x).  ``+ self.shift`` stays even at 0.0: it turns
+        # a -0.0 input into +0.0, whose sign odd_power would otherwise keep.
+        negate = self.mode == "valley"
         kernel = self._kernel()
-        shifted = x * sign + self.shift
+        shifted = (x * -1.0 if negate else x) + self.shift
         powered = odd_power(shifted, gamma) * (1.0 / self.sigma)
         conv = F.conv1d(powered, kernel, stride=self.stride,
                         padding=self.padding)
@@ -159,7 +164,7 @@ class DualisticConv1d(Module):
             mass = np.abs(kernel.data).sum(axis=(1, 2))  # per out-channel
             correction = self.shift * (mass / self.sigma) ** (1.0 / gamma)
             root = root - Tensor(correction[None, :, None])
-        return root * sign
+        return root * -1.0 if negate else root
 
     def contract(self, spec: TensorSpec) -> TensorSpec:
         spec.require_ndim(3, "DualisticConv1d")
@@ -191,15 +196,20 @@ class DualisticConv1d(Module):
 class TimeDomainAmplifier(Module):
     """Stage 1 of MACE: amplify anomalies before the frequency transform.
 
-    Applies depthwise peak and valley dualistic convolutions with stride 1
-    and a fixed uniform kernel, then averages them elementwise (paper §IV-A
-    stage 1).  "Same" padding keeps the window length unchanged.  With
-    ``gamma == 1`` the two branches coincide with a moving average and the
-    module degrades gracefully (ablation path).
+    The paper averages a peak and a valley dualistic convolution, both with
+    stride 1 and a fixed uniform kernel (paper §IV-A stage 1).  Here both
+    use the raw Eq. 2 operator (shift 0), which is odd, so the valley
+    ``-peak(-x)`` equals the peak bit for bit (IEEE rounding is symmetric
+    under negation) and their average is the peak itself.  The forward
+    therefore evaluates only the peak.  ``self.valley`` stays registered,
+    uncalled, so that ``state_dict()`` keeps its keys and checkpoints load
+    across versions.  "Same" padding keeps the window length unchanged.
+    With ``gamma == 1`` the peak is a moving average and the module
+    degrades gracefully (ablation path).
     """
 
     def __init__(self, gamma: int = 11, sigma: float = 5.0, kernel_size: int = 5,
-                 shift: float = 0.0, blend: float = 0.3):
+                 blend: float = 0.3):
         super().__init__()
         if kernel_size % 2 == 0:
             raise ValueError("time-domain kernel must be odd for same padding")
@@ -214,19 +224,19 @@ class TimeDomainAmplifier(Module):
         # point-anomaly-heavy noisy data (SMAP/MC); a 0.3 blend keeps the
         # anomaly-extension property while preserving normality (Fig. 3b).
         self.blend = blend
-        # shift = 0 uses the raw Eq. 2 operator: each window is dominated by
-        # its largest-magnitude sample (signed), which extends short
-        # anomalies and *preserves* high-frequency anomalous oscillations.
-        # A positive shift would turn the peak/valley average into a
-        # midrange filter that low-passes exactly the frequency anomalies
-        # the DFT path must see (verified by tests/benches).
+        # The raw Eq. 2 operator (shift 0): each window is dominated by its
+        # largest-magnitude sample (signed), which extends short anomalies
+        # and *preserves* high-frequency anomalous oscillations.  A positive
+        # shift would turn the peak/valley average into a midrange filter
+        # that low-passes exactly the frequency anomalies the DFT path must
+        # see (verified by tests/benches).
         self.peak = DualisticConv1d(
             1, 1, kernel_size, stride=1, gamma=gamma, sigma=sigma, mode="peak",
-            shift=shift, padding=kernel_size // 2, learnable=False,
+            padding=kernel_size // 2, learnable=False,
         )
         self.valley = DualisticConv1d(
             1, 1, kernel_size, stride=1, gamma=gamma, sigma=sigma, mode="valley",
-            shift=shift, padding=kernel_size // 2, learnable=False,
+            padding=kernel_size // 2, learnable=False,
         )
 
     def contract(self, spec: TensorSpec) -> TensorSpec:
@@ -234,11 +244,10 @@ class TimeDomainAmplifier(Module):
         n, t, m = spec.shape
         flat = spec.with_shape((n * m, 1, t))
         peak = child_contract("peak", self.peak, flat)
-        valley = child_contract("valley", self.valley, flat)
-        if peak.shape != flat.shape or valley.shape != flat.shape:
+        if peak.shape != flat.shape:
             raise ContractError(
-                "TimeDomainAmplifier branches must preserve the window "
-                f"length: {flat} -> peak {peak}, valley {valley}"
+                "TimeDomainAmplifier must preserve the window length: "
+                f"{flat} -> peak {peak}"
             )
         return spec
 
@@ -246,7 +255,7 @@ class TimeDomainAmplifier(Module):
         """``(N, T, m) -> (N, T, m)`` amplified windows."""
         n, t, m = x.shape
         flat = x.swapaxes(1, 2).reshape(n * m, 1, t)
-        amplified = (self.peak(flat) + self.valley(flat)) * 0.5
+        amplified = self.peak(flat)
         amplified = amplified.reshape(n, m, t).swapaxes(1, 2)
         if self.blend >= 1.0:
             return amplified

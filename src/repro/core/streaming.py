@@ -137,8 +137,8 @@ class StreamingDetector:
         """
         stream = self._require_stream(service_id)
         observation = self._validate(stream, observation)
-        stream.buffer = np.roll(stream.buffer, -1, axis=0)
-        stream.buffer[-1] = observation
+        # A fresh array per update: callers may still hold the old window.
+        stream.buffer = np.concatenate((stream.buffer[1:], observation[None]))
         stream.filled = min(stream.filled + 1, self.window)
         if stream.filled < self.window:
             return None

@@ -118,9 +118,13 @@ def scores_to_timeline(window_scores: np.ndarray, length: int, window: int,
             f"expected {starts.size} windows for length={length}, "
             f"got {window_scores.shape[0]}"
         )
-    for row, start in enumerate(starts):
-        totals[start:start + window] += window_scores[row]
-        counts[start:start + window] += 1.0
+    # One strided add per window offset.  Offsets go in reverse so that each
+    # timestamp sums its windows in increasing window order, the order a
+    # per-window loop uses; floating-point sums depend on that order.
+    for offset in range(window - 1, -1, -1):
+        cells = slice(offset, offset + starts.size * stride, stride)
+        totals[cells] += window_scores[:, offset]
+        counts[cells] += 1.0
     covered = counts > 0
     timeline = np.zeros(length)
     timeline[covered] = totals[covered] / counts[covered]

@@ -98,6 +98,16 @@ class TestDualisticConv1d:
         out = conv(Tensor(rng.normal(size=(1, 1, 9)) + 2.0))
         assert np.isfinite(out.data).all()
 
+    def test_negative_gamma_clamps_exact_zeros_to_plus_eps(self):
+        conv = DualisticConv1d(1, 1, 3, gamma=3, sigma=1.0, mode="valley",
+                               valley_mode="negative_gamma", learnable=False)
+        x = np.array([0.5, 0.0, -0.7, 1.2, 0.3, -0.0, 0.9])
+        out = conv(Tensor(x[None, None])).data[0, 0]
+        clamped = np.where(x == 0.0, conv.eps, x)
+        expected = [np.cbrt(1.0 / np.mean(clamped[i:i + 3] ** -3.0))
+                    for i in range(5)]
+        np.testing.assert_allclose(out, expected, rtol=1e-12)
+
     def test_learnable_kernel_gradients(self, rng):
         conv = DualisticConv1d(2, 3, 3, stride=3, gamma=3, sigma=2.0)
         x = Tensor(rng.uniform(0.2, 1.0, size=(2, 2, 9)), requires_grad=True)

@@ -1,5 +1,7 @@
 """MACE model: characterization, pattern extraction, forward/loss, ablations."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,35 @@ class TestMaceModel:
         loss.backward()
         grads = [p.grad for p in model.parameters()]
         assert any(g is not None and np.abs(g).sum() > 0 for g in grads)
+
+    def test_tape_size_is_pinned(self, rng):
+        """The default model's forward plus loss records a fixed set of ops.
+
+        Counted are the nodes with a backward closure.  An accidental
+        identity op or a duplicated branch shows up as a diff of the counts.
+        """
+        config = MaceConfig()
+        model = MaceModel(config, rng=rng)
+        extractor = PatternExtractor(config.window, config.num_bases)
+        extractor.fit_service("svc", _periodic(400, 10, 3, rng))
+        windows = rng.normal(size=(4, config.window, 3))
+        loss = model.loss(model(Tensor(windows), extractor, "svc"))
+        ops, stack, seen = Counter(), [loss], set()
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.extend(node._parents)
+            if node._backward is not None:
+                ops[node._op] += 1
+        assert sum(ops.values()) == 47
+        assert ops == {
+            "abs": 2, "add": 2, "conv1d": 5, "conv_transpose1d": 2,
+            "getitem": 2, "leaky_relu": 2, "matmul": 2, "maximum": 1,
+            "mul": 9, "odd_power": 2, "odd_root": 2, "reshape": 6, "sub": 4,
+            "sum": 3, "tanh": 1, "transpose": 2,
+        }
 
     def test_timestep_errors_shape(self, setup):
         model, extractor, windows = setup
