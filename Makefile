@@ -12,7 +12,7 @@ export PYTHONPATH := src
 
 .PHONY: check lint analyze analyze-baseline det-check det-baseline test \
         chaos chaos-train chaos-serve drill check-model obs-overhead \
-        bench bench-serving help
+        bench help
 
 check: lint analyze det-check test chaos chaos-train chaos-serve drill \
        obs-overhead
@@ -90,12 +90,6 @@ bench:
 	$(PYTHON) benchmarks/suite/run.py --runs 3 --out .bench_build/bench.json
 	$(PYTHON) benchmarks/suite/run.py --compare benchmarks/suite/baseline.json .bench_build/bench.json
 
-# Serving-gateway throughput/latency benchmark: >=8 services over >=2
-# workers with >=30% injected faults; refreshes BENCH_serving.json (p50/
-# p99 ack latency, points/sec) and fails if any acked update is lost.
-bench-serving:
-	$(PYTHON) benchmarks/bench_serving.py
-
 help:
 	@echo "make check            - lint + analyze + det-check + test + chaos +"
 	@echo "                        chaos-train + chaos-serve + drill +"
@@ -113,4 +107,3 @@ help:
 	@echo "make check-model      - static MACE shape/dtype contract check"
 	@echo "make obs-overhead     - telemetry overhead gate (max(3%, 10 ms/baseline))"
 	@echo "make bench            - MACE benchmark suite vs committed baseline"
-	@echo "make bench-serving    - gateway throughput/latency benchmark (BENCH_serving.json)"

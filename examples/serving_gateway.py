@@ -25,7 +25,6 @@ from repro.eval import format_table
 from repro.obs.report import render_report
 from repro.runtime import FaultInjector, GatewayConfig, ServingGateway
 from repro.runtime.gateway import (
-    TrafficConfig,
     ZScoreDetector,
     make_fleet_series,
     run_traffic,
@@ -65,8 +64,7 @@ def main() -> None:
 
         async def session():
             await gateway.start()
-            report = await run_traffic(gateway, streams, TrafficConfig(),
-                                       faults=plan)
+            report = await run_traffic(gateway, streams, faults=plan)
             await gateway.drain()
             return report, gateway.status()
 

@@ -657,6 +657,33 @@ def _gateway_fleet(args):
     return detector, histories, streams
 
 
+def _fault_rate_ok(args) -> bool:
+    """Reject a ``--fault-rate`` outside [0, 1] with a message."""
+    if 0.0 <= args.fault_rate <= 1.0:
+        return True
+    _out(f"--fault-rate must be in [0, 1], got {args.fault_rate:g}",
+         file=sys.stderr)
+    return False
+
+
+def _parse_kills(specs):
+    """``SERVICE:APPLIES`` strings -> ``[(service, applies)]``; ``None``
+    (after a message) when one is malformed."""
+    kills = []
+    for spec in specs or []:
+        service_id, _, after = spec.rpartition(":")
+        try:
+            applies = int(after)
+        except ValueError:
+            applies = None
+        if not service_id or applies is None:
+            _out(f"bad --kill {spec!r} (want SERVICE:APPLIES)",
+                 file=sys.stderr)
+            return None
+        kills.append((service_id, applies))
+    return kills
+
+
 def _gateway_fault_plan(args, histories):
     from repro.runtime import FaultInjector
 
@@ -674,12 +701,15 @@ def _cmd_serve(args) -> int:
 
     from repro.eval import format_table
     from repro.runtime import GatewayConfig, GatewayError, ServingGateway
-    from repro.runtime.gateway import TrafficConfig, run_traffic
+    from repro.runtime.gateway import run_traffic
 
     window = 16                 # streaming calibration needs 2x this
     if args.history < 2 * window:
         _out(f"--history must be >= {2 * window} (calibration floor)",
              file=sys.stderr)
+        return 2
+    kills = _parse_kills(args.kill)
+    if kills is None or not _fault_rate_ok(args):
         return 2
     detector, histories, streams = _gateway_fleet(args)
     plan = _gateway_fault_plan(args, histories)
@@ -689,20 +719,19 @@ def _cmd_serve(args) -> int:
 
     def run(directory) -> int:
         gateway = ServingGateway(directory, detector, histories, config)
-        for spec in args.kill or []:
-            service_id, _, after = spec.rpartition(":")
-            if not service_id:
-                _out(f"bad --kill {spec!r} (want SERVICE:APPLIES)",
+        for service_id, after in kills:
+            try:
+                gateway.schedule_worker_kill(service_id, after)
+            except KeyError:
+                _out(f"bad --kill: unknown service {service_id!r}",
                      file=sys.stderr)
                 return 2
-            gateway.schedule_worker_kill(service_id, int(after))
         if plan:
             gateway.apply_fault_plan(plan)
 
         async def session():
             await gateway.start()
-            report = await run_traffic(gateway, streams, TrafficConfig(),
-                                       faults=plan)
+            report = await run_traffic(gateway, streams, faults=plan)
             await gateway.drain()
             return report, gateway.status()
 
@@ -741,6 +770,8 @@ def _cmd_traffic(args) -> int:
     from repro.eval import format_table
     from repro.runtime.gateway import ConsistentHashRing
 
+    if not _fault_rate_ok(args):
+        return 2
     _, histories, streams = _gateway_fleet(args)
     plan = _gateway_fault_plan(args, histories) or {}
     ring = ConsistentHashRing([f"w{i}" for i in range(args.workers)],

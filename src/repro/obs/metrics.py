@@ -211,8 +211,8 @@ class Histogram:
     * fixed log-spaced bucket counts (``bounds[i]`` is the inclusive
       upper edge of bucket ``i``; the final bucket is the +inf overflow),
       which merge associatively across processes;
-    * one :class:`P2Quantile` per tracked quantile, the high-resolution
-      view for the stream this instance saw itself.
+    * one :class:`P2Quantile` per :data:`DEFAULT_QUANTILES` entry, the
+      high-resolution view for the stream this instance saw itself.
 
     After :meth:`merge` the P² state is dropped (it is not mergeable) and
     :meth:`quantile` falls back to interpolating the merged bucket counts,
@@ -230,8 +230,7 @@ class Histogram:
     kind = "histogram"
 
     def __init__(self, name: str, labels: Tuple[Tuple[str, str], ...] = (),
-                 bounds: Sequence[float] = DEFAULT_BUCKETS,
-                 quantiles: Sequence[float] = DEFAULT_QUANTILES):
+                 bounds: Sequence[float] = DEFAULT_BUCKETS):
         self.name = name
         self.labels = labels
         self.bounds = tuple(float(b) for b in bounds)
@@ -246,7 +245,7 @@ class Histogram:
         # trace}; empty until an exemplar-carrying observation arrives.
         self.exemplars: Dict[int, dict] = {}
         self._estimators: Optional[Dict[float, P2Quantile]] = {
-            float(q): P2Quantile(q) for q in quantiles
+            float(q): P2Quantile(q) for q in DEFAULT_QUANTILES
         }
 
     def observe(self, value: float,

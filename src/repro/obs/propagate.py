@@ -7,15 +7,16 @@ an ack's p99 after the fact is a trace that survives every hop.  This
 module is the wire half of that story:
 
 * :class:`TraceContext` — the compact context minted once at gateway
-  admission: a trace id, the current span id (the parent for anything
-  recorded downstream), and the sampling decision.  Every field is a
-  **deterministic** function of ``(seed, service, sequence)`` — BLAKE2b
-  digests, not random draws — so a replayed WAL regenerates the very ids
-  the original admission minted and chaos runs stay bitwise comparable.
+  admission: a trace id and the current span id (the parent for anything
+  recorded downstream).  Both are a **deterministic** function of
+  ``(seed, service, sequence)`` — BLAKE2b digests, not random draws — so
+  a replayed WAL regenerates the very ids the original admission minted
+  and chaos runs stay bitwise comparable.
 * ``to_wire()`` / ``from_wire()`` — a plain JSON dict that rides the
   submit envelope, the WAL frame, the shard queue, and the worker IPC
   command.  ``from_wire`` tolerates ``None`` and unknown shapes, which is
-  what keeps schema-1 WAL frames (pre-trace) replayable.
+  what keeps schema-1 WAL frames (pre-trace) replayable; it ignores the
+  ``sampled`` flag older writers added, so their logs replay too.
 * :class:`TraceLog` — an append-only ``spans.jsonl`` sink with the same
   torn-write stance as the event log: one flushed line per span, so a
   worker killed mid-ack leaves every *recorded* span readable.  Records
@@ -25,9 +26,7 @@ module is the wire half of that story:
   stream spans back (skipping torn lines) and assemble one trace's spans
   into a parent-linked tree for rendering.
 
-Sampling is decided once, at mint time, from the trace id's own digest:
-children inherit the root's fate, so a sampled trace is always a whole
-tree and an unsampled one costs nothing downstream.
+Every admitted update is traced: there is no sampling.
 """
 
 from __future__ import annotations
@@ -54,9 +53,6 @@ __all__ = [
 # ignore contexts from the future rather than misparse them.
 WIRE_SCHEMA = 1
 
-# Sampling resolution: rates are quantised to 1/10000ths of the id space.
-_SAMPLE_GRID = 10_000
-
 
 def _digest(material: str, nbytes: int) -> str:
     return hashlib.blake2b(material.encode("utf-8"),
@@ -69,24 +65,19 @@ class TraceContext:
 
     trace_id: str            # 16 hex chars, constant across the trace
     span_id: str             # 12 hex chars, the current span
-    sampled: bool            # decided at mint; children inherit
 
     @classmethod
-    def mint(cls, seed: int, service_id: str, sequence: int,
-             sample_rate: float = 1.0) -> "TraceContext":
+    def mint(cls, seed: int, service_id: str,
+             sequence: int) -> "TraceContext":
         """Mint the root context for one admitted update.
 
         Deterministic: the same ``(seed, service, sequence)`` always
-        yields the same ids and the same sampling verdict, so a WAL
-        replay re-derives exactly what the original admission minted.
+        yields the same ids, so a WAL replay re-derives exactly what the
+        original admission minted.
         """
-        if not 0.0 <= sample_rate <= 1.0:
-            raise ValueError("sample_rate must be in [0, 1]")
         trace_id = _digest(f"{seed}:{service_id}:{sequence}", 8)
         span_id = _digest(f"{trace_id}:gateway.submit", 6)
-        sampled = (int(trace_id, 16) % _SAMPLE_GRID
-                   < round(sample_rate * _SAMPLE_GRID))
-        return cls(trace_id=trace_id, span_id=span_id, sampled=sampled)
+        return cls(trace_id=trace_id, span_id=span_id)
 
     def child(self, name: str, qualifier: str = "") -> "TraceContext":
         """Derive a child context: same trace, new span id.
@@ -96,13 +87,12 @@ class TraceContext:
         """
         span_id = _digest(f"{self.trace_id}:{self.span_id}:{name}:"
                           f"{qualifier}", 6)
-        return TraceContext(trace_id=self.trace_id, span_id=span_id,
-                            sampled=self.sampled)
+        return TraceContext(trace_id=self.trace_id, span_id=span_id)
 
     # -- wire format ---------------------------------------------------
     def to_wire(self) -> dict:
         return {"schema": WIRE_SCHEMA, "trace_id": self.trace_id,
-                "span_id": self.span_id, "sampled": self.sampled}
+                "span_id": self.span_id}
 
     @classmethod
     def from_wire(cls, wire: object) -> Optional["TraceContext"]:
@@ -118,8 +108,7 @@ class TraceContext:
         trace_id, span_id = wire.get("trace_id"), wire.get("span_id")
         if not isinstance(trace_id, str) or not isinstance(span_id, str):
             return None
-        return cls(trace_id=trace_id, span_id=span_id,
-                   sampled=bool(wire.get("sampled", True)))
+        return cls(trace_id=trace_id, span_id=span_id)
 
 
 class TraceLog:
@@ -137,13 +126,17 @@ class TraceLog:
 
     def record(self, name: str, context: TraceContext, seconds: float, *,
                parent_span_id: Optional[str] = None, depth: int = 0,
-               start: float = 0.0, **attrs: object) -> dict:
-        """Append one completed span under ``context``; returns it."""
+               **attrs: object) -> dict:
+        """Append one completed span under ``context``; returns it.
+
+        ``start`` is always 0.0: cross-process spans carry no wall-clock
+        offset, only their duration.
+        """
         span = {
             "name": name,
             "path": name,
             "depth": depth,
-            "start": float(start),
+            "start": 0.0,
             "seconds": float(seconds),
             "trace_id": context.trace_id,
             "span_id": context.span_id,

@@ -48,6 +48,8 @@ __all__ = ["InjectedFault", "FaultInjector", "FaultyDetector",
            "GatewayFault", "GATEWAY_FAULT_KINDS"]
 
 _CORRUPTION_KINDS = ("nan", "inf", "spike", "drop")
+# Multiplier applied to a corrupted feature for ``"spike"`` faults.
+_SPIKE_SCALE = 1e6
 
 WORKER_FAULT_KINDS = ("worker_kill", "worker_hang", "nan_grad")
 
@@ -182,15 +184,12 @@ class FaultInjector:
     kinds:
         Which corruption kinds to draw from (subset of
         ``("nan", "inf", "spike", "drop")``).
-    spike_scale:
-        Multiplier applied to a corrupted feature for ``"spike"`` faults.
     """
 
     def __init__(self, seed: int = 0, corrupt_prob: float = 0.02,
                  raise_prob: float = 1.0 / 200.0,
                  nan_score_prob: float = 0.0,
-                 kinds: Sequence[str] = _CORRUPTION_KINDS,
-                 spike_scale: float = 1e6):
+                 kinds: Sequence[str] = _CORRUPTION_KINDS):
         unknown = sorted(set(kinds) - set(_CORRUPTION_KINDS))
         if unknown:
             raise ValueError(f"unknown corruption kinds: {unknown}")
@@ -206,7 +205,6 @@ class FaultInjector:
         self.raise_prob = raise_prob
         self.nan_score_prob = nan_score_prob
         self.kinds = tuple(kinds)
-        self.spike_scale = spike_scale
         self._rng = np.random.default_rng(seed)
         self.observations_corrupted = 0
         self.scoring_faults = 0
@@ -233,7 +231,7 @@ class FaultInjector:
             observation[feature] = np.inf if self._rng.random() < 0.5 else -np.inf
         else:  # spike
             sign = 1.0 if self._rng.random() < 0.5 else -1.0
-            observation[feature] = sign * self.spike_scale * (
+            observation[feature] = sign * _SPIKE_SCALE * (
                 1.0 + abs(observation[feature])
             )
         return observation
@@ -261,15 +259,16 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def plan_worker_faults(self, group_ids: Sequence[str],
                            fault_rate: float, epochs: int,
-                           kinds: Sequence[str] = WORKER_FAULT_KINDS,
-                           repeat: bool = False) -> Dict[str, WorkerFault]:
+                           kinds: Sequence[str] = WORKER_FAULT_KINDS
+                           ) -> Dict[str, WorkerFault]:
         """Draw a deterministic fault schedule for a fleet training run.
 
         Each group in ``group_ids`` (order matters — it is part of the
         seeded draw) is assigned a :class:`WorkerFault` with probability
         ``fault_rate``.  Fault epochs are drawn in ``[1, epochs)`` when
         possible so a checkpoint exists before the fault fires; with
-        ``epochs == 1`` they land on epoch 1 / batch 0.
+        ``epochs == 1`` they land on epoch 1 / batch 0.  Every planned
+        fault is transient (``repeat=False``).
         """
         unknown = sorted(set(kinds) - set(WORKER_FAULT_KINDS))
         if unknown:
@@ -289,13 +288,12 @@ class FaultInjector:
                 # Batch-level fault: epoch in [0, epochs) (0-based loop
                 # epoch), batch 0 — every group has at least one batch.
                 epoch = int(self._rng.integers(epochs))
-                fault = WorkerFault(kind, epoch=epoch, batch=0,
-                                    repeat=repeat)
+                fault = WorkerFault(kind, epoch=epoch, batch=0)
             else:
                 # Epoch-boundary fault: fires after `epoch` completed
                 # epochs, i.e. in [1, epochs].
                 epoch = 1 + int(self._rng.integers(epochs))
-                fault = WorkerFault(kind, epoch=epoch, repeat=repeat)
+                fault = WorkerFault(kind, epoch=epoch)
             plan[group_id] = fault
             self.worker_faults_planned += 1
         return plan
@@ -339,26 +337,20 @@ class FaultInjector:
     # Gateway faults (serving gateway delivery path)
     # ------------------------------------------------------------------
     def plan_gateway_faults(self, service_ids: Sequence[str],
-                            fault_rate: float, updates: int,
-                            kinds: Sequence[str] = GATEWAY_FAULT_KINDS,
-                            delay_updates: int = 2,
-                            delay_seconds: float = 0.2,
-                            repeat: bool = False) -> Dict[str, "GatewayFault"]:
+                            fault_rate: float, updates: int
+                            ) -> Dict[str, "GatewayFault"]:
         """Draw a deterministic delivery-fault schedule for a traffic run.
 
         The mirror of :meth:`plan_worker_faults` for the gateway's ack
         protocol: each service in ``service_ids`` (order matters — it is
         part of the seeded draw) is assigned a :class:`GatewayFault` with
-        probability ``fault_rate``, firing at an update index drawn in
-        ``[1, updates]``.  The traffic generator executes delivery faults
-        client-side; ``worker_slow_start`` is handed to the gateway's
-        worker spawn path.
+        probability ``fault_rate``, its kind drawn from
+        :data:`GATEWAY_FAULT_KINDS`, firing once at an update index drawn
+        in ``[1, updates]`` with :class:`GatewayFault`'s default delays.
+        The traffic generator executes delivery faults client-side;
+        ``worker_slow_start`` is handed to the gateway's worker spawn
+        path.
         """
-        unknown = sorted(set(kinds) - set(GATEWAY_FAULT_KINDS))
-        if unknown:
-            raise ValueError(f"unknown gateway fault kinds: {unknown}")
-        if not kinds:
-            raise ValueError("need at least one gateway fault kind")
         if not 0.0 <= fault_rate <= 1.0:
             raise ValueError("fault_rate must be in [0, 1]")
         if updates < 1:
@@ -367,12 +359,10 @@ class FaultInjector:
         for service_id in service_ids:
             if self._rng.random() >= fault_rate:
                 continue
-            kind = kinds[int(self._rng.integers(len(kinds)))]
+            kind = GATEWAY_FAULT_KINDS[
+                int(self._rng.integers(len(GATEWAY_FAULT_KINDS)))]
             at_update = 1 + int(self._rng.integers(updates))
-            plan[service_id] = GatewayFault(
-                kind, at_update=at_update, delay_updates=delay_updates,
-                delay_seconds=delay_seconds, repeat=repeat,
-            )
+            plan[service_id] = GatewayFault(kind, at_update=at_update)
             self.gateway_faults_planned += 1
         return plan
 

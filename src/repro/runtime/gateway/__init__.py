@@ -23,7 +23,6 @@ from repro.runtime.gateway.gateway import (
 )
 from repro.runtime.gateway.hashring import ConsistentHashRing
 from repro.runtime.gateway.traffic import (
-    TrafficConfig,
     TrafficReport,
     ZScoreDetector,
     make_fleet_series,
@@ -49,7 +48,6 @@ __all__ = [
     "SubmitResult",
     "TenantPolicy",
     "TokenBucket",
-    "TrafficConfig",
     "TrafficReport",
     "WalCorruptionError",
     "WalRecord",

@@ -76,17 +76,17 @@ class TokenBucket:
         self._updated = now
         self._tokens = min(self._tokens + elapsed * self.rate, self.burst)
 
-    def try_acquire(self, tokens: float = 1.0) -> Tuple[bool, float]:
-        """Spend ``tokens`` if available.
+    def try_acquire(self) -> Tuple[bool, float]:
+        """Spend one token if available.
 
         Returns ``(acquired, retry_after)`` — ``retry_after`` is 0 on
-        success, else the seconds until the bucket will hold enough.
+        success, else the seconds until the bucket will hold a token.
         """
         self._refill()
-        if self._tokens >= tokens:
-            self._tokens -= tokens
+        if self._tokens >= 1.0:
+            self._tokens -= 1.0
             return True, 0.0
-        return False, (tokens - self._tokens) / self.rate
+        return False, (1.0 - self._tokens) / self.rate
 
     @property
     def tokens(self) -> float:

@@ -54,10 +54,20 @@ from repro.runtime.gateway.admission import (
 from repro.runtime.gateway.hashring import ConsistentHashRing
 from repro.runtime.gateway.wal import ENTRY_SCHEMA, WriteAheadLog, read_wal
 from repro.runtime.gateway.worker import run_shard_worker
+from repro.runtime.supervision import (
+    TERM_GRACE,
+    Backoff,
+    process_context,
+    terminate,
+)
 
 __all__ = ["GatewayError", "GatewayConfig", "SubmitResult", "ServingGateway"]
 
 _DEFAULT_TENANT = "default"
+_SEGMENT_BYTES = 256 * 1024     # WAL rotation size
+_SPAWN_TIMEOUT = 30.0           # worker hello deadline, seconds
+_MAX_RESPAWNS = 5               # per shard, then GatewayError
+_RETRY_AFTER = 0.05             # suggested client backoff on reject
 
 
 class GatewayError(RuntimeError):
@@ -72,38 +82,18 @@ class GatewayConfig:
     workers: int = 2
     seed: int = 0
     window: int = 40
-    q: float = 1e-3
-    replicas: int = 64              # hash-ring virtual nodes per worker
     queue_depth: int = 64           # per-shard bounded buffer
-    segment_bytes: int = 256 * 1024  # WAL rotation size
     snapshot_every: int = 128       # worker snapshot cadence (applies)
     ack_timeout: float = 10.0       # per-update worker ack deadline
-    spawn_timeout: float = 30.0     # worker hello deadline
-    term_grace: float = 5.0         # SIGTERM→SIGKILL escalation window
-    max_respawns: int = 5           # per shard, then GatewayError
     backoff_base: float = 0.05      # seconds; doubles per respawn
-    backoff_cap: float = 2.0
-    backoff_jitter: float = 0.25    # +[0, jitter] fraction, seeded draw
-    retry_after: float = 0.05       # suggested client backoff on reject
-    shed_at: float = 0.60           # overload ladder thresholds
-    degrade_at: float = 0.80
-    refuse_at: float = 0.95
-    hysteresis: float = 0.10
-    start_method: Optional[str] = None  # None: "fork" if available
-    trace_sample: float = 1.0       # deterministic trace sampling rate;
-    #                               # 0 disables minting entirely
 
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        if self.ack_timeout <= 0 or self.spawn_timeout <= 0:
-            raise ValueError("timeouts must be positive")
-        if self.max_respawns < 1:
-            raise ValueError("max_respawns must be >= 1")
-        if not 0.0 <= self.trace_sample <= 1.0:
-            raise ValueError("trace_sample must be in [0, 1]")
+        if self.ack_timeout <= 0:
+            raise ValueError("ack_timeout must be positive")
 
 
 @dataclass(frozen=True)
@@ -184,23 +174,14 @@ class ServingGateway:
         if unknown:
             raise ValueError(f"services mapped to unknown tenants: {unknown}")
         self.admission = AdmissionController(tenants)
-        self.ladder = OverloadLadder(
-            shed_at=self.config.shed_at, degrade_at=self.config.degrade_at,
-            refuse_at=self.config.refuse_at,
-            hysteresis=self.config.hysteresis,
-        )
+        self.ladder = OverloadLadder()
         self.ring = ConsistentHashRing(
             [f"w{i}" for i in range(self.config.workers)],
-            replicas=self.config.replicas, seed=self.config.seed,
+            seed=self.config.seed,
         )
-        method = self.config.start_method
-        if method is None:
-            available = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in available else "spawn"
-        self._context = multiprocessing.get_context(method)
-        self._backoff_rng = np.random.default_rng(
-            np.random.SeedSequence([self.config.seed & 0xFFFFFFFF, 0x6A7E])
-        )
+        self._context = process_context()
+        self._backoff = Backoff(self.config.seed, 0x6A7E,
+                                self.config.backoff_base).delay
         self.registry = get_registry()
         self._events: Optional[EventLog] = None
         self._traces: Optional[TraceLog] = None
@@ -224,8 +205,7 @@ class ServingGateway:
             raise GatewayError("gateway already started")
         self.directory.mkdir(parents=True, exist_ok=True)
         self._events = EventLog(self.directory / "events.jsonl")
-        if self.config.trace_sample > 0.0:
-            self._traces = TraceLog(self.directory / "spans.jsonl")
+        self._traces = TraceLog(self.directory / "spans.jsonl")
         assignment = self.ring.shards(sorted(self.services))
         self._shard_of = {sid: shard_id
                           for shard_id, sids in assignment.items()
@@ -236,7 +216,7 @@ class ServingGateway:
                 shard_id=shard_id,
                 services=assignment[shard_id],
                 wal=WriteAheadLog(shard_dir / "wal",
-                                  segment_bytes=self.config.segment_bytes),
+                                  segment_bytes=_SEGMENT_BYTES),
                 queue=asyncio.Queue(maxsize=self.config.queue_depth),
                 snapshot_path=shard_dir / "snapshot.json",
                 slow_start=self._pre_slow_start.get(shard_id, 0.0),
@@ -260,6 +240,8 @@ class ServingGateway:
         """
         if self._started:
             raise GatewayError("install fault plans before start()")
+        for service_id in plan:
+            self._require_service(service_id)
         for service_id, fault in plan.items():
             if fault.kind != "worker_slow_start":
                 continue
@@ -274,9 +256,11 @@ class ServingGateway:
         ``service_id``: the worker hard-exits after ``after_applies``
         applied updates, *after* applying and *before* acking.  Returns
         the shard id.  Call before :meth:`start`; the respawned worker
-        runs clean."""
+        runs clean.  Raises ``KeyError`` for a service this gateway does
+        not serve."""
         if self._started:
             raise GatewayError("schedule kills before start()")
+        self._require_service(service_id)
         shard_id = self.ring.assign(service_id)
         self._pre_die_after[shard_id] = int(after_applies)
         return shard_id
@@ -300,7 +284,7 @@ class ServingGateway:
             shard.conn.send({"op": "stop"})
             await self._await_reply(shard, ("bye",), self.config.ack_timeout)
             if shard.process is not None:
-                shard.process.join(self.config.term_grace)
+                shard.process.join(TERM_GRACE)
             self._reap_process(shard)
             shard.wal.close()
         self.registry.dump(self.directory / "metrics.jsonl")
@@ -348,8 +332,7 @@ class ServingGateway:
         shard's WAL and will survive any worker failure.
         """
         self._require_started()
-        if service_id not in self.services:
-            raise KeyError(f"unknown service {service_id!r}")
+        self._require_service(service_id)
         if sequence < 1:
             raise ValueError("sequence must be >= 1")
         started = time.perf_counter()
@@ -382,24 +365,20 @@ class ServingGateway:
             return self._reject(service_id, sequence, tenant, "backpressure")
 
         degraded = state is OverloadState.DEGRADED
-        context = None
-        if self.config.trace_sample > 0.0:
-            context = TraceContext.mint(self.config.seed, service_id,
-                                        sequence, self.config.trace_sample)
+        context = TraceContext.mint(self.config.seed, service_id, sequence)
+        # WAL entry schema 2: the trace context rides the frame so a
+        # post-failover replay re-parents under the original trace.
+        # Schema-1 frames (pre-trace) simply lack both keys and replay
+        # untraced.
         entry = {
             "service": service_id,
             "sequence": sequence,
             "observation": np.asarray(observation,
                                       dtype=float).reshape(-1).tolist(),
             "degraded": degraded,
+            "schema": ENTRY_SCHEMA,
+            "trace": context.to_wire(),
         }
-        if context is not None:
-            # WAL entry schema 2: the trace context rides the frame so a
-            # post-failover replay re-parents under the original trace.
-            # Schema-1 frames (pre-trace) simply lack both keys and
-            # replay untraced.
-            entry["schema"] = ENTRY_SCHEMA
-            entry["trace"] = context.to_wire()
         lsn = shard.wal.append(entry)
         self.registry.counter("gateway.wal_appends",
                               shard=shard.shard_id).inc()
@@ -415,15 +394,11 @@ class ServingGateway:
         self.registry.gauge("gateway.queue_depth",
                             shard=shard.shard_id).set(shard.queue.qsize())
         elapsed = time.perf_counter() - started
-        exemplar = (context.trace_id
-                    if context is not None and context.sampled else None)
         self.registry.histogram("gateway.ack_seconds").observe(
-            elapsed, exemplar=exemplar)
-        if context is not None and context.sampled \
-                and self._traces is not None:
-            self._traces.record("gateway.submit", context, elapsed,
-                                service=service_id, sequence=sequence,
-                                shard=shard.shard_id, degraded=degraded)
+            elapsed, exemplar=context.trace_id)
+        self._traces.record("gateway.submit", context, elapsed,
+                            service=service_id, sequence=sequence,
+                            shard=shard.shard_id, degraded=degraded)
         # Nothing above suspends when the WAL lock is uncontended, so a
         # tight submit loop would monopolize the event loop and starve
         # the dispatchers into an ever-growing backlog.  One explicit
@@ -440,7 +415,7 @@ class ServingGateway:
         self.registry.counter("gateway.rejected", tenant=tenant,
                               reason=reason).inc()
         if retry_after is None:
-            retry_after = self.config.retry_after
+            retry_after = _RETRY_AFTER
         return SubmitResult(False, service_id, sequence, reason,
                             retry_after=retry_after)
 
@@ -486,12 +461,10 @@ class ServingGateway:
             except asyncio.QueueEmpty:
                 await asyncio.sleep(0.001)
                 continue
-            context = TraceContext.from_wire(entry.get("trace"))
             self.registry.histogram(
                 "gateway.queue_wait_seconds", shard=shard.shard_id,
             ).observe(time.perf_counter() - enqueued_at,
-                      exemplar=(context.trace_id if context is not None
-                                and context.sampled else None))
+                      exemplar=entry["trace"]["trace_id"])
             shard.in_flight = True
             try:
                 await self._deliver(shard, entry)
@@ -564,10 +537,10 @@ class ServingGateway:
                    respawns=shard.respawns)
         while True:
             shard.respawns += 1
-            if shard.respawns > self.config.max_respawns:
+            if shard.respawns > _MAX_RESPAWNS:
                 raise GatewayError(
                     f"shard {shard.shard_id}: respawn budget "
-                    f"({self.config.max_respawns}) exhausted after {reason}"
+                    f"({_MAX_RESPAWNS}) exhausted after {reason}"
                 )
             self._terminate(shard)
             await asyncio.sleep(self._backoff(shard.respawns))
@@ -584,15 +557,13 @@ class ServingGateway:
             "shard": shard.shard_id,
             "detector": self.detector,
             "window": self.config.window,
-            "q": self.config.q,
             "services": {sid: self.services[sid].tolist()
                          for sid in shard.services},
             "snapshot_path": str(shard.snapshot_path),
             "snapshot_every": self.config.snapshot_every,
             "slow_start": shard.slow_start,
             "die_after_applies": shard.pending_die_after,
-            "trace_path": (str(shard.snapshot_path.parent / "spans.jsonl")
-                           if self.config.trace_sample > 0.0 else None),
+            "trace_path": str(shard.snapshot_path.parent / "spans.jsonl"),
             "incarnation": shard.respawns,
         }
         process = self._context.Process(
@@ -609,7 +580,7 @@ class ServingGateway:
                    respawns=shard.respawns, slow_start=shard.slow_start)
         hello = await self._await_reply(
             shard, ("hello",),
-            self.config.spawn_timeout + shard.slow_start)
+            _SPAWN_TIMEOUT + shard.slow_start)
         if hello is None:
             raise _WorkerDied(f"shard {shard.shard_id}: no hello")
         await self._replay(shard, hello["applied"])
@@ -650,28 +621,18 @@ class ServingGateway:
         if process is None:
             return
         if process.is_alive():
-            process.terminate()
-            process.join(self.config.term_grace)
-            if process.is_alive():
-                process.kill()
-                process.join(self.config.term_grace)
+            terminate(process)
         self._reap_process(shard)
 
     def _reap_process(self, shard: _Shard) -> None:
         if shard.process is not None:
-            shard.process.join(self.config.term_grace)
+            shard.process.join(TERM_GRACE)
             if not shard.process.is_alive():
                 shard.process.close()
                 shard.process = None
         if shard.conn is not None:
             shard.conn.close()
             shard.conn = None
-
-    def _backoff(self, failed_attempts: int) -> float:
-        delay = self.config.backoff_base * (2.0 ** (failed_attempts - 1))
-        delay = min(delay, self.config.backoff_cap)
-        jitter = self.config.backoff_jitter * float(self._backoff_rng.random())
-        return delay * (1.0 + jitter)
 
     # ------------------------------------------------------------------
     # Introspection / verification
@@ -729,6 +690,10 @@ class ServingGateway:
                 for shard_id, shard in sorted(self._shards.items())
             },
         }
+
+    def _require_service(self, service_id: str) -> None:
+        if service_id not in self.services:
+            raise KeyError(f"unknown service {service_id!r}")
 
     def _require_started(self) -> None:
         if not self._started:

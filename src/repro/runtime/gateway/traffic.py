@@ -35,8 +35,12 @@ from repro.core.detector import AnomalyDetector
 from repro.runtime.faults import GatewayFault
 from repro.runtime.gateway.gateway import ServingGateway
 
-__all__ = ["ZScoreDetector", "TrafficConfig", "TrafficReport",
-           "make_fleet_series", "run_traffic"]
+__all__ = ["ZScoreDetector", "TrafficReport", "make_fleet_series",
+           "run_traffic"]
+
+_MAX_ATTEMPTS = 1000    # per update, before giving up loudly
+_RETRY_FLOOR = 0.005    # min sleep between retries, seconds
+_DELAY_TICK = 0.01      # one `deliver_delayed` delay unit, seconds
 
 
 class ZScoreDetector(AnomalyDetector):
@@ -84,23 +88,6 @@ def make_fleet_series(num_services: int, history_len: int, updates: int,
         base += 0.1 * rng.normal(size=base.shape)
         fleet[f"svc-{index}"] = base
     return fleet
-
-
-@dataclass(frozen=True)
-class TrafficConfig:
-    """One traffic run's shape."""
-
-    updates_per_service: int = 100
-    seed: int = 0
-    max_attempts: int = 1000        # per update, before giving up loudly
-    retry_floor: float = 0.005      # min sleep between retries, seconds
-    delay_tick: float = 0.01        # one `deliver_delayed` delay unit
-
-    def __post_init__(self):
-        if self.updates_per_service < 1:
-            raise ValueError("updates_per_service must be >= 1")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
 
 
 @dataclass
@@ -162,7 +149,7 @@ class TrafficReport:
 
 
 async def _drive_service(gateway: ServingGateway, service_id: str,
-                         stream: np.ndarray, config: TrafficConfig,
+                         stream: np.ndarray,
                          fault: Optional[GatewayFault],
                          report: TrafficReport) -> None:
     """Submit one service's stream in order, surviving every rejection."""
@@ -173,7 +160,7 @@ async def _drive_service(gateway: ServingGateway, service_id: str,
             if fault.kind == "deliver_delayed":
                 report.faults_fired["deliver_delayed"] = \
                     report.faults_fired.get("deliver_delayed", 0) + 1
-                await asyncio.sleep(fault.delay_updates * config.delay_tick)
+                await asyncio.sleep(fault.delay_updates * _DELAY_TICK)
             elif fault.kind == "deliver_dropped":
                 # The first transmission vanishes in the network; the
                 # at-least-once client simply sends again.
@@ -189,10 +176,10 @@ async def _drive_service(gateway: ServingGateway, service_id: str,
             attempts = 0
             while True:
                 attempts += 1
-                if attempts > config.max_attempts:
+                if attempts > _MAX_ATTEMPTS:
                     raise RuntimeError(
                         f"{service_id} seq {sequence}: not accepted after "
-                        f"{config.max_attempts} attempts — the gateway is "
+                        f"{_MAX_ATTEMPTS} attempts — the gateway is "
                         "stuck, not backpressured"
                     )
                 report.submitted += 1
@@ -208,14 +195,12 @@ async def _drive_service(gateway: ServingGateway, service_id: str,
                 report.retries += 1
                 report.rejections[result.reason] = \
                     report.rejections.get(result.reason, 0) + 1
-                await asyncio.sleep(max(result.retry_after,
-                                        config.retry_floor))
+                await asyncio.sleep(max(result.retry_after, _RETRY_FLOOR))
     report.final_sequence[service_id] = gateway.accepted_sequence(service_id)
 
 
 async def run_traffic(gateway: ServingGateway,
                       streams: Dict[str, np.ndarray],
-                      config: Optional[TrafficConfig] = None,
                       faults: Optional[Dict[str, GatewayFault]] = None
                       ) -> TrafficReport:
     """Drive every service's live stream through a started gateway.
@@ -228,7 +213,6 @@ async def run_traffic(gateway: ServingGateway,
     :meth:`~repro.runtime.gateway.gateway.ServingGateway.apply_fault_plan`
     before it starts).
     """
-    config = config if config is not None else TrafficConfig()
     faults = dict(faults or {})
     updates = max(len(stream) for stream in streams.values())
     report = TrafficReport(services=len(streams),
@@ -240,8 +224,7 @@ async def run_traffic(gateway: ServingGateway,
         if fault is not None and fault.kind == "worker_slow_start":
             fault = None
         drivers.append(_drive_service(gateway, service_id,
-                                      np.atleast_2d(stream), config, fault,
-                                      report))
+                                      np.atleast_2d(stream), fault, report))
     await asyncio.gather(*drivers)
     report.elapsed_seconds = time.perf_counter() - started
     histogram = gateway.registry.histogram("gateway.ack_seconds")

@@ -43,7 +43,7 @@ import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 from repro.nn.serialization import fsync_directory
 
@@ -77,6 +77,14 @@ def _encode(payload: dict) -> bytes:
     body = json.dumps(payload, sort_keys=True).encode("utf-8")
     return (_MAGIC + len(body).to_bytes(4, "little")
             + zlib.crc32(body).to_bytes(4, "little") + body)
+
+
+def _segment_paths(directory: Path) -> List[Path]:
+    """The directory's segment files, in segment-index order."""
+    found = [(int(match.group(1)), entry)
+             for entry in directory.iterdir()
+             if (match := _SEGMENT_PATTERN.match(entry.name))]
+    return [entry for _, entry in sorted(found)]
 
 
 def _decode_segment(data: bytes, path: Path, start_lsn: int,
@@ -156,14 +164,8 @@ class WriteAheadLog:
         self._recover()
 
     # ------------------------------------------------------------------
-    def _segments(self) -> List[Path]:
-        found = [(int(match.group(1)), entry)
-                 for entry in self.directory.iterdir()
-                 if (match := _SEGMENT_PATTERN.match(entry.name))]
-        return [entry for _, entry in sorted(found)]
-
     def _recover(self) -> None:
-        segments = self._segments()
+        segments = _segment_paths(self.directory)
         lsn = 0
         for position, segment in enumerate(segments):
             final = position == len(segments) - 1
@@ -239,17 +241,6 @@ class WriteAheadLog:
         self._open_segment(self._segment_index + 1)
 
     # ------------------------------------------------------------------
-    def records(self, start_lsn: int = 0) -> List[WalRecord]:
-        """Re-read records from disk, from ``start_lsn`` on.
-
-        Pending appends are flushed first, so the result is exactly what
-        a post-crash recovery would replay plus anything buffered in
-        this process.
-        """
-        if self._file is not None:
-            self._file.flush()
-        return read_wal(self.directory, start_lsn=start_lsn)
-
     def close(self) -> None:
         if self._file is not None:
             self.commit()
@@ -263,24 +254,13 @@ class WriteAheadLog:
         self.close()
 
 
-def read_wal(directory: str | Path,
-             start_lsn: int = 0,
-             expect_segments: Optional[int] = None) -> List[WalRecord]:
+def read_wal(directory: str | Path, start_lsn: int = 0) -> List[WalRecord]:
     """Decode every record under a WAL directory, in LSN order.
 
     A torn final record in the last segment is dropped; any other damage
     raises :class:`WalCorruptionError`.
     """
-    directory = Path(directory)
-    found = [(int(match.group(1)), entry)
-             for entry in directory.iterdir()
-             if (match := _SEGMENT_PATTERN.match(entry.name))]
-    segments = [entry for _, entry in sorted(found)]
-    if expect_segments is not None and len(segments) != expect_segments:
-        raise WalCorruptionError(
-            f"{directory}: expected {expect_segments} segments, "
-            f"found {len(segments)}"
-        )
+    segments = _segment_paths(Path(directory))
     records: List[WalRecord] = []
     for position, segment in enumerate(segments):
         records.extend(_decode_segment(

@@ -11,7 +11,7 @@ stop-and-wait command protocol:
     :meth:`~repro.runtime.serving.ServingRuntime.update` and reply with
     an ``ack`` carrying the scoring outcome.  The sequence number makes
     re-delivery (the parent's retransmit after an ack timeout, or a WAL
-    replay overlapping a snapshot) a no-op.  Commands carrying a sampled
+    replay overlapping a snapshot) a no-op.  Commands carrying a
     trace context get a ``worker.update`` span recorded (and flushed) to
     the shard's ``spans.jsonl`` *before* the ack is sent, parented under
     the gateway's submit span — which is what keeps every acked update's
@@ -54,20 +54,15 @@ from repro.runtime.checkpoint import (
     save_streaming_state,
 )
 from repro.runtime.serving import ServingRuntime
+from repro.runtime.supervision import KILLED_EXIT_CODE
 
 __all__ = ["KILLED_EXIT_CODE", "run_shard_worker"]
-
-# Exit code for an injected hard kill (os._exit: no cleanup, no ack) —
-# same convention as the training orchestrator's killed workers.
-KILLED_EXIT_CODE = 73
 
 _POLL_SECONDS = 0.05
 
 
 def _build_runtime(payload: dict) -> ServingRuntime:
-    runtime = ServingRuntime(
-        payload["detector"], window=payload["window"], q=payload["q"],
-    )
+    runtime = ServingRuntime(payload["detector"], window=payload["window"])
     # Sorted start order keeps calibration deterministic regardless of
     # how the parent happened to order the shard's service dict.
     for service_id in sorted(payload["services"]):
@@ -104,8 +99,7 @@ def run_shard_worker(payload: dict, conn) -> None:
     # hard kill tears at most the final line.  The incarnation qualifies
     # every span id — each respawn derives fresh, deterministic ids even
     # when it re-applies the same (service, sequence).
-    trace_path = payload.get("trace_path")
-    traces = TraceLog(trace_path) if trace_path else None
+    traces = TraceLog(payload["trace_path"])
     incarnation = int(payload.get("incarnation") or 0)
     span_count = 0
 
@@ -131,8 +125,7 @@ def run_shard_worker(payload: dict, conn) -> None:
                 np.asarray(command["observation"], dtype=float),
                 sequence=int(command["sequence"]),
                 force_fallback=bool(command.get("degraded", False)),
-                trace_id=(context.trace_id if context is not None
-                          and context.sampled else None),
+                trace_id=context.trace_id if context is not None else None,
             )
             update_seconds = time.perf_counter() - update_started
             if not outcome.duplicate:
@@ -144,8 +137,7 @@ def run_shard_worker(payload: dict, conn) -> None:
                     # Applied but never acknowledged: the parent must
                     # retransmit and the sequence check must absorb it.
                     os._exit(KILLED_EXIT_CODE)
-            if context is not None and context.sampled \
-                    and traces is not None:
+            if context is not None:
                 # Recorded (and flushed) before the ack leaves, so every
                 # acknowledged update's trace tree is complete on disk
                 # even if the very next instruction is a kill.
@@ -188,6 +180,5 @@ def run_shard_worker(payload: dict, conn) -> None:
             break
         else:
             conn.send({"op": "error", "error": f"unknown op {op!r}"})
-    if traces is not None:
-        traces.close()
+    traces.close()
     conn.close()

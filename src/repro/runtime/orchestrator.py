@@ -55,6 +55,13 @@ from repro.obs.events import EventLog, install_event_log
 from repro.obs.metrics import MetricsRegistry, get_registry, install_registry
 from repro.obs.tracing import disable_tracing, enable_tracing
 from repro.runtime.faults import WorkerFault
+from repro.runtime.supervision import (
+    KILLED_EXIT_CODE,
+    TERM_GRACE,
+    Backoff,
+    process_context,
+    terminate,
+)
 
 __all__ = [
     "derive_group_seed",
@@ -68,12 +75,14 @@ __all__ = [
     "train_fleet",
 ]
 
-# Exit code a worker uses for an injected hard kill (os._exit, no cleanup).
-KILLED_EXIT_CODE = 73
 # How long an injected hang sleeps; always longer than any sane per-task
 # timeout, so the orchestrator's deadline is what ends the attempt.
 _HANG_SECONDS = 3600.0
 _RESULT_NAME = "result.json"
+# Scheduler wait granularity, seconds.
+_POLL_INTERVAL = 0.05
+# Checkpoints kept per group (the resume anchors a rewind can reach).
+_KEEP_CHECKPOINTS = 3
 
 
 def derive_group_seed(fleet_seed: int, group_id: str) -> int:
@@ -117,15 +126,7 @@ class FleetConfig:
     backoff_base: float = 0.05      # seconds; doubles per failed attempt
     backoff_cap: float = 2.0
     backoff_jitter: float = 0.25    # +[0, jitter] fraction, seeded draw
-    checkpoint_every: int = 1
-    keep_checkpoints: int = 3
     max_rewinds: int = 3
-    lr_factor: float = 0.5
-    spike_mads: float = 10.0
-    min_history: int = 3
-    start_method: Optional[str] = None  # None: "fork" if available
-    poll_interval: float = 0.05     # scheduler wait granularity, seconds
-    term_grace: float = 5.0         # SIGTERM→SIGKILL escalation window
     # Worker-side telemetry: metrics + spans + a file-backed event
     # log in each group directory, merged back through result.json.  The
     # orchestrator's own events.jsonl is always written (append-only).
@@ -330,15 +331,9 @@ def _run_group_job(payload: dict) -> None:
 
     directory = Path(payload["directory"])
     config: MaceConfig = payload["config"]
-    checkpointer = Checkpointer(
-        directory, every=payload["checkpoint_every"],
-        keep=payload["keep_checkpoints"], snapshot_initial=True,
-    )
-    guard = DivergenceGuard(
-        checkpointer, max_rewinds=payload["max_rewinds"],
-        lr_factor=payload["lr_factor"], spike_mads=payload["spike_mads"],
-        min_history=payload["min_history"],
-    )
+    checkpointer = Checkpointer(directory, keep=_KEEP_CHECKPOINTS,
+                                snapshot_initial=True)
+    guard = DivergenceGuard(checkpointer, max_rewinds=payload["max_rewinds"])
     epoch_hook, batch_hook = _fault_hooks(payload["fault"], guard)
     resume = checkpointer.latest()
     trainer = MaceTrainer(config)
@@ -412,15 +407,11 @@ class FleetOrchestrator:
         self.directory = Path(directory)
         self.base_config = base_config
         self.fleet = fleet if fleet is not None else FleetConfig()
-        method = self.fleet.start_method
-        if method is None:
-            available = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in available else "spawn"
-        self._context = multiprocessing.get_context(method)
-        self._backoff_rng = np.random.default_rng(
-            np.random.SeedSequence([self.fleet.fleet_seed & 0xFFFFFFFF,
-                                    0x5EED])
-        )
+        self._context = process_context()
+        self._backoff = Backoff(self.fleet.fleet_seed, 0x5EED,
+                                self.fleet.backoff_base,
+                                cap=self.fleet.backoff_cap,
+                                jitter=self.fleet.backoff_jitter).delay
         self.registry = get_registry()
         self._events: Optional[EventLog] = None
 
@@ -466,7 +457,7 @@ class FleetOrchestrator:
                     # nearest eligibility instant.
                     wake = min(runs[g].eligible_at for g in pending)
                     time.sleep(min(max(wake - now, 0.0) + 1e-3,
-                                   self.fleet.poll_interval))
+                                   _POLL_INTERVAL))
                     continue
                 self._wait(runs, running)
                 now = time.monotonic()  # effects: ok TIME reason=deadline supervision only; job results carry no wall time
@@ -476,7 +467,7 @@ class FleetOrchestrator:
                         running.remove(group_id)
                         self._reap(run, pending, timed_out=False)
                     elif now >= run.deadline:
-                        self._terminate(run.process)
+                        terminate(run.process)
                         running.remove(group_id)
                         self._reap(run, pending, timed_out=True)
         finally:
@@ -519,12 +510,7 @@ class FleetOrchestrator:
             "service_ids": run.job.service_ids,
             "train_series": run.job.train_series,
             "fault": fault,
-            "checkpoint_every": self.fleet.checkpoint_every,
-            "keep_checkpoints": self.fleet.keep_checkpoints,
             "max_rewinds": self.fleet.max_rewinds,
-            "lr_factor": self.fleet.lr_factor,
-            "spike_mads": self.fleet.spike_mads,
-            "min_history": self.fleet.min_history,
             "obs": self.fleet.observability,
         }
         process = self._context.Process(
@@ -542,22 +528,15 @@ class FleetOrchestrator:
         """Block until a worker exits, a deadline passes, or a poll tick."""
         now = time.monotonic()  # effects: ok TIME reason=deadline supervision only; job results carry no wall time
         nearest = min(runs[g].deadline for g in running)
-        timeout = max(min(nearest - now, self.fleet.poll_interval), 0.0)
+        timeout = max(min(nearest - now, _POLL_INTERVAL), 0.0)
         connection.wait([runs[g].process.sentinel for g in running],
                         timeout=timeout)
-
-    def _terminate(self, process) -> None:
-        process.terminate()
-        process.join(self.fleet.term_grace)
-        if process.is_alive():
-            process.kill()
-            process.join(self.fleet.term_grace)
 
     # ------------------------------------------------------------------
     def _reap(self, run: _JobRun, pending: List[str],
               timed_out: bool) -> None:
         process = run.process
-        process.join(self.fleet.term_grace)
+        process.join(TERM_GRACE)
         exitcode = process.exitcode
         seconds = time.monotonic() - run.started_at  # effects: ok TIME reason=deadline supervision only; job results carry no wall time
         process.close()
@@ -650,12 +629,6 @@ class FleetOrchestrator:
                 # A malformed snapshot from a torn worker must not take
                 # down the fleet; the raw list is still on the result.
                 pass
-
-    def _backoff(self, failed_attempts: int) -> float:
-        delay = self.fleet.backoff_base * (2.0 ** (failed_attempts - 1))
-        delay = min(delay, self.fleet.backoff_cap)
-        jitter = self.fleet.backoff_jitter * float(self._backoff_rng.random())
-        return delay * (1.0 + jitter)
 
 
 def train_fleet(jobs: Sequence[FleetJob], base_config: MaceConfig,

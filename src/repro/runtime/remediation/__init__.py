@@ -51,7 +51,6 @@ from repro.runtime.remediation.diagnosis import (
     EvidenceWindow,
     attribute_drift,
     diagnose,
-    model_attribution,
 )
 from repro.runtime.remediation.drill import (
     SCENARIOS,
@@ -76,7 +75,7 @@ __all__ = [
     "Incident", "IncidentState", "RemediationConfig",
     "RemediationController",
     "AlertClass", "Diagnosis", "DiagnosisConfig", "EvidenceWindow",
-    "attribute_drift", "diagnose", "model_attribution",
+    "attribute_drift", "diagnose",
     "SCENARIOS", "DrillConfig", "DrillReport", "DrillRow", "run_drill",
     "DEFAULT_LADDERS", "TERMINAL_ACTION", "PolicyConfig", "PolicyDecision",
     "PolicyEngine",

@@ -53,7 +53,6 @@ from repro.runtime.remediation.diagnosis import (
     DiagnosisConfig,
     EvidenceWindow,
     diagnose,
-    model_attribution,
 )
 from repro.runtime.remediation.policy import (
     TERMINAL_ACTION,
@@ -126,7 +125,6 @@ class RemediationConfig:
     drift_factor: float = 3.0
     history_rows: int = 160
     degraded_patience: int = 32
-    deep_attribution: bool = False
 
     def __post_init__(self):
         if self.verify_patience < 1 or self.verify_dwell < 1:
@@ -287,21 +285,6 @@ class RemediationController:
         diagnosis = diagnose(self._evidence[service_id], drift,
                              fallback.threshold,
                              self.config.diagnosis)
-        if self.config.deep_attribution and window is not None:
-            attributions = model_attribution(
-                self.runtime.streaming.detector, service_id, window,
-                top=self.config.diagnosis.top_features)
-            if attributions:
-                diagnosis = Diagnosis(
-                    alert_class=diagnosis.alert_class,
-                    repair_fraction=diagnosis.repair_fraction,
-                    spectral_drift=diagnosis.spectral_drift,
-                    drift_ratio=diagnosis.drift_ratio,
-                    alert_fraction=diagnosis.alert_fraction,
-                    top_features=tuple(
-                        (a.feature, a.share) for a in attributions),
-                    reason=diagnosis.reason + " (model attribution)",
-                )
         incident.diagnosis = diagnosis
         emit("diagnosis", incident=incident.incident_id, service=service_id,
              tick=tick, **diagnosis.to_payload())

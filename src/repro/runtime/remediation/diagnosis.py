@@ -18,12 +18,10 @@ depends on the root cause:
   really is anomalous.  Remediation must *not* mask it; re-probe the
   model so monitoring recovers, and escalate to a human fast.
 
-Evidence comes from three independent sources: the sanitizer's repair
-reports (tracked tick-by-tick in :class:`EvidenceWindow`), the fallback
-scorer's per-feature spectral drift (:meth:`SpectralFallbackScorer
-.feature_drift`), and — when the serving detector is a fitted MACE —
-per-feature reconstruction-error attribution via
-:mod:`repro.core.interpret`.
+Evidence comes from two independent sources: the sanitizer's repair
+reports (tracked tick-by-tick in :class:`EvidenceWindow`) and the
+fallback scorer's per-feature spectral drift
+(:meth:`SpectralFallbackScorer.feature_drift`).
 """
 
 from __future__ import annotations
@@ -31,15 +29,16 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.detector import MaceDetector
-from repro.core.interpret import explain_interval
-
 __all__ = ["AlertClass", "DiagnosisConfig", "EvidenceWindow", "Diagnosis",
-           "attribute_drift", "diagnose", "model_attribution"]
+           "attribute_drift", "diagnose"]
+
+# Fraction of recent ready ticks that were alerts before clean-input,
+# undrifted trouble reads as an anomaly storm.
+_STORM_ALERT_FRACTION = 0.3
 
 
 class AlertClass(enum.Enum):
@@ -59,27 +58,19 @@ class DiagnosisConfig:
     KL against the calibration reference before the window reads as
     drifted (the fallback scorer's own alert threshold is calibrated per
     service; this is the *relative* multiplier applied to it).
-    ``storm_alert_fraction`` — fraction of recent ready ticks that were
-    alerts before clean-input, undrifted trouble reads as a storm.
     """
 
     window: int = 64
     repair_fraction: float = 0.25
     drift_threshold: float = 2.0
-    storm_alert_fraction: float = 0.3
-    top_features: int = 3
 
     def __post_init__(self):
         if self.window < 4:
             raise ValueError("window must be >= 4")
-        for name in ("repair_fraction", "storm_alert_fraction"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1]")
+        if not 0.0 < self.repair_fraction <= 1.0:
+            raise ValueError("repair_fraction must be in (0, 1]")
         if self.drift_threshold <= 0:
             raise ValueError("drift_threshold must be positive")
-        if self.top_features < 1:
-            raise ValueError("top_features must be >= 1")
 
 
 class EvidenceWindow:
@@ -160,26 +151,6 @@ def attribute_drift(per_feature_drift: np.ndarray,
                  for feature in order)
 
 
-def model_attribution(detector, service_id: str, window_values: np.ndarray,
-                      top: int = 3) -> Optional[List]:
-    """Per-feature reconstruction-error attribution, when available.
-
-    Unwraps one proxy layer (``FaultyDetector.inner`` and friends expose
-    ``.inner``); returns ``None`` unless the underlying detector is a
-    fitted :class:`MaceDetector` — the attribution is advisory evidence,
-    never a hard dependency of the control loop.
-    """
-    candidate = getattr(detector, "inner", detector)
-    if not isinstance(candidate, MaceDetector) or candidate.trainer is None:
-        return None
-    window_values = np.atleast_2d(np.asarray(window_values, dtype=float))
-    try:
-        return explain_interval(candidate, service_id, window_values,
-                                0, window_values.shape[0], top=top)
-    except Exception:   # advisory path: any model failure is not fatal
-        return None
-
-
 def diagnose(evidence: EvidenceWindow, per_feature_drift: np.ndarray,
              fallback_threshold: float,
              config: DiagnosisConfig | None = None) -> Diagnosis:
@@ -199,7 +170,7 @@ def diagnose(evidence: EvidenceWindow, per_feature_drift: np.ndarray,
     drift_ratio = spectral_drift / max(threshold, 1e-12)
     repair = evidence.repair_fraction
     alerts = evidence.alert_fraction
-    top = attribute_drift(drift, top=config.top_features)
+    top = attribute_drift(drift)
 
     if repair >= config.repair_fraction:
         alert_class = AlertClass.DATA_QUALITY
@@ -211,11 +182,11 @@ def diagnose(evidence: EvidenceWindow, per_feature_drift: np.ndarray,
         reason = (f"clean inputs but spectral drift at "
                   f"{drift_ratio:.1f}x the calibrated fallback threshold "
                   f"(threshold {config.drift_threshold:.1f}x)")
-    elif alerts >= config.storm_alert_fraction:
+    elif alerts >= _STORM_ALERT_FRACTION:
         alert_class = AlertClass.ANOMALY_STORM
         reason = (f"clean inputs, reference-scale spectrum, yet "
                   f"{alerts:.0%} of recent ready ticks alerted "
-                  f"(threshold {config.storm_alert_fraction:.0%})")
+                  f"(threshold {_STORM_ALERT_FRACTION:.0%})")
     else:
         alert_class = AlertClass.UNKNOWN
         reason = ("no evidence source crossed its threshold "

@@ -38,7 +38,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.obs.events import EventLog, get_event_log, install_event_log
-from repro.obs.metrics import MetricsRegistry
 from repro.runtime.faults import ActionFault, FaultInjector, FaultyDetector
 from repro.runtime.gateway.traffic import ZScoreDetector
 from repro.runtime.health import BreakerConfig, HealthState
@@ -56,6 +55,15 @@ __all__ = ["SCENARIOS", "DrillConfig", "DrillRow", "DrillReport",
 
 SCENARIOS = ("input_corruption", "model_outage", "model_nan")
 
+_HISTORY_LEN = 320      # calibration rows per service
+_WINDOW = 40            # serving window
+# The scripted fault window: ticks [_FAULT_START, _FAULT_START +
+# _FAULT_DURATION) of the run.  It leaves enough post-fault runway for
+# ladder climbs and verification dwells even when the first two rungs
+# are sabotaged.
+_FAULT_START = 60
+_FAULT_DURATION = 48
+
 
 @dataclass(frozen=True)
 class DrillConfig:
@@ -64,22 +72,14 @@ class DrillConfig:
     ``fault_rate`` is the fraction of services assigned a fault scenario
     (the acceptance gate requires at least 0.3); ``action_fault_rate``
     the probability that a *faulted* service's remediation path is itself
-    broken.  ``fault_start``/``fault_duration`` position the scripted
-    fault window inside the ``ticks``-long run; the defaults leave enough
-    post-fault runway for ladder climbs and verification dwells even when
-    the first two rungs are sabotaged.
+    broken.  ``ticks`` must outlast the scripted fault window.
     """
 
     seed: int = 0
     num_services: int = 8
-    history_len: int = 320
     ticks: int = 360
-    window: int = 40
     fault_rate: float = 0.6
     action_fault_rate: float = 0.3
-    relapse_ticks: int = 8
-    fault_start: int = 60
-    fault_duration: int = 48
     events_path: Optional[str] = None
 
     def __post_init__(self):
@@ -89,11 +89,7 @@ class DrillConfig:
             raise ValueError("fault_rate must be in [0, 1]")
         if not 0.0 <= self.action_fault_rate <= 1.0:
             raise ValueError("action_fault_rate must be in [0, 1]")
-        if self.history_len < 2 * self.window:
-            raise ValueError("history_len must cover 2x the window")
-        if self.fault_start < self.window:
-            raise ValueError("fault_start must leave a warm-up window")
-        if self.fault_start + self.fault_duration >= self.ticks:
+        if _FAULT_START + _FAULT_DURATION >= self.ticks:
             raise ValueError("fault window must end before the run does")
 
 
@@ -192,7 +188,7 @@ class DrillReport:
 def _make_fleet(config: DrillConfig) -> Dict[str, np.ndarray]:
     """Seeded sine+noise fleet; index -> full (history + live) series."""
     rng = np.random.default_rng(1000 + config.seed)
-    length = config.history_len + config.ticks
+    length = _HISTORY_LEN + config.ticks
     fleet: Dict[str, np.ndarray] = {}
     for index in range(config.num_services):
         period = 16 + 4 * (index % 4)
@@ -224,8 +220,7 @@ def _drill_breaker_config() -> BreakerConfig:
                          probe_successes=2, base_backoff=4, max_backoff=64)
 
 
-def run_drill(config: DrillConfig | None = None,
-              registry: MetricsRegistry | None = None) -> DrillReport:
+def run_drill(config: DrillConfig | None = None) -> DrillReport:
     """Run one seeded closed-loop drill end to end.
 
     Deterministic: the report (and, when ``config.events_path`` is set,
@@ -248,25 +243,22 @@ def run_drill(config: DrillConfig | None = None,
             scenarios[service_id] = SCENARIOS[
                 int(rng.integers(len(SCENARIOS)))]
     action_plan = injector.plan_action_faults(
-        sorted(scenarios), config.action_fault_rate,
-        relapse_ticks=config.relapse_ticks)
+        sorted(scenarios), config.action_fault_rate)
 
     detector = ZScoreDetector().fit(
-        service_ids, [fleet[sid][:config.history_len]
-                      for sid in service_ids])
+        service_ids, [fleet[sid][:_HISTORY_LEN] for sid in service_ids])
     faulty = FaultyDetector(detector, injector)
-    runtime = ServingRuntime(faulty, window=config.window, q=1e-2,
-                             breaker_config=_drill_breaker_config(),
-                             registry=registry)
+    runtime = ServingRuntime(faulty, window=_WINDOW, q=1e-2,
+                             breaker_config=_drill_breaker_config())
     controller = RemediationController(
-        runtime, config=_drill_remediation_config(), registry=registry,
+        runtime, config=_drill_remediation_config(),
         action_faults=action_plan)
     for service_id in service_ids:
-        history = fleet[service_id][:config.history_len]
+        history = fleet[service_id][:_HISTORY_LEN]
         runtime.start_service(service_id, history)
         controller.watch(service_id, history=history)
 
-    fault_end = config.fault_start + config.fault_duration
+    fault_end = _FAULT_START + _FAULT_DURATION
     relapse_until: Dict[str, int] = {}
     relapse_fired: set = set()
 
@@ -281,7 +273,7 @@ def run_drill(config: DrillConfig | None = None,
     try:
         for step in range(config.ticks):
             current_tick[0] = step + 1
-            in_fault_window = config.fault_start <= step < fault_end
+            in_fault_window = _FAULT_START <= step < fault_end
             for service_id in service_ids:
                 scenario = scenarios.get(service_id, "")
                 if scenario == "model_outage":
@@ -297,13 +289,12 @@ def run_drill(config: DrillConfig | None = None,
                 else:
                     _set_membership(faulty.fail_services, service_id,
                                     step < relapse_until.get(service_id, 0))
-                observation = fleet[service_id][config.history_len + step]
+                observation = fleet[service_id][_HISTORY_LEN + step]
                 if scenario == "input_corruption" and in_fault_window:
                     observation = None      # dropped in transport
                 controller.step(service_id, observation)
                 _maybe_relapse(controller, action_plan, service_id, step,
-                               config.relapse_ticks, relapse_until,
-                               relapse_fired)
+                               relapse_until, relapse_fired)
     finally:
         if event_log is not None:
             install_event_log(previous_log)
@@ -321,8 +312,7 @@ def _set_membership(group: set, service_id: str, present: bool) -> None:
 
 def _maybe_relapse(controller: RemediationController,
                    action_plan: Dict[str, ActionFault], service_id: str,
-                   step: int, relapse_ticks: int,
-                   relapse_until: Dict[str, int],
+                   step: int, relapse_until: Dict[str, int],
                    relapse_fired: set) -> None:
     """Arm a scripted relapse the first time an incident starts verifying."""
     fault = action_plan.get(service_id)

@@ -48,14 +48,14 @@ class SpectralFallbackScorer:
     the current window's normalised amplitude spectrum and the mean
     calibration spectrum.  It is orders of magnitude cheaper than the
     model path and numerically bulletproof — precisely what you want from
-    the path of last resort.
+    the path of last resort.  Its alert threshold is the 99.5th
+    percentile of the calibration windows' distances.
     """
 
-    def __init__(self, window: int, alert_quantile: float = 0.995):
-        if not 0.5 < alert_quantile < 1.0:
-            raise ValueError("alert_quantile must be in (0.5, 1)")
+    alert_quantile = 0.995
+
+    def __init__(self, window: int):
         self.window = window
-        self.alert_quantile = alert_quantile
         self._reference: np.ndarray | None = None   # (features, bins)
         self.threshold: float = float("inf")
 
@@ -136,19 +136,15 @@ class ServingRuntime:
     """
 
     def __init__(self, detector: AnomalyDetector, window: int = 40,
-                 q: float = 1e-3, calibration_level: float = 0.98,
+                 q: float = 1e-3,
                  sanitizer_config: SanitizerConfig | None = None,
                  breaker_config: BreakerConfig | None = None,
-                 fallback_quantile: float = 0.995,
                  registry: MetricsRegistry | None = None):
-        self.streaming = StreamingDetector(
-            detector, window=window, q=q,
-            calibration_level=calibration_level, on_invalid="impute",
-        )
+        self.streaming = StreamingDetector(detector, window=window, q=q,
+                                           on_invalid="impute")
         self.window = window
         self.sanitizer_config = sanitizer_config or SanitizerConfig()
         self.breaker_config = breaker_config or BreakerConfig()
-        self.fallback_quantile = fallback_quantile
         self.registry = registry if registry is not None else get_registry()
         self._sanitizers: Dict[str, Sanitizer] = {}
         self._health: Dict[str, ServiceHealth] = {}
@@ -173,9 +169,7 @@ class ServingRuntime:
         sanitizer = Sanitizer(self.sanitizer_config).fit(history)
         clean = self._clean_history(history)
         self.streaming.start_service(service_id, clean)
-        fallback = SpectralFallbackScorer(
-            self.window, alert_quantile=self.fallback_quantile,
-        ).fit(clean)
+        fallback = SpectralFallbackScorer(self.window).fit(clean)
         self._sanitizers[service_id] = sanitizer
         self._health[service_id] = ServiceHealth(self.breaker_config)
         self._fallbacks[service_id] = fallback
@@ -481,8 +475,7 @@ class ServingRuntime:
         self.streaming.detector.prepare_service(service_id, clean)
         if clean.shape[0] >= 2 * self.window:
             self._fallbacks[service_id] = SpectralFallbackScorer(
-                self.window, alert_quantile=self.fallback_quantile,
-            ).fit(clean)
+                self.window).fit(clean)
 
     def quarantine(self, service_id: str) -> None:
         """Force the service onto the fallback path (terminal escalation)."""

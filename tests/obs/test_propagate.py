@@ -29,23 +29,17 @@ class TestTraceContext:
                for seq in (1, 2, 3)}
         assert len(ids) == 12
 
-    def test_sampling_decision_is_deterministic_and_inherited(self):
-        always = TraceContext.mint(0, "svc-0", 1, sample_rate=1.0)
-        never = TraceContext.mint(0, "svc-0", 1, sample_rate=0.0)
-        assert always.sampled and not never.sampled
-        assert always.trace_id == never.trace_id
-        assert always.child("worker.update").sampled
-        assert not never.child("worker.update").sampled
-
-    def test_sample_rate_roughly_respected(self):
-        sampled = sum(TraceContext.mint(0, "svc-0", seq,
-                                        sample_rate=0.25).sampled
-                      for seq in range(1, 401))
-        assert 60 <= sampled <= 140  # ~100 expected; digests, not dice
-
-    def test_invalid_sample_rate_rejected(self):
-        with pytest.raises(ValueError):
-            TraceContext.mint(0, "svc-0", 1, sample_rate=1.5)
+    def test_from_wire_decodes_frames_that_carry_sampled(self):
+        """Older WALs carry ``"sampled": true`` in every trace context;
+        they must replay under the very ids their admission minted."""
+        context = TraceContext.mint(0, "svc-0", 9)
+        legacy = {"schema": 1, "trace_id": "02b5ed980daaac03",
+                  "span_id": "14d98f6904eb", "sampled": True}
+        decoded = TraceContext.from_wire(legacy)
+        assert decoded == context
+        assert (decoded.child("worker.update", qualifier="0:1").span_id
+                == "26edf6a4269d")
+        assert "sampled" not in context.to_wire()
 
     def test_child_keeps_trace_changes_span(self):
         root = TraceContext.mint(0, "svc-0", 1)

@@ -25,7 +25,6 @@ from repro.runtime import (
     TenantPolicy,
 )
 from repro.runtime.gateway import (
-    TrafficConfig,
     ZScoreDetector,
     make_fleet_series,
     read_wal,
@@ -69,8 +68,7 @@ def _run_session(directory, kills=(), fault_plan=None, **overrides):
 
     async def session():
         await gateway.start()
-        report = await run_traffic(gateway, streams, TrafficConfig(),
-                                   faults=fault_plan)
+        report = await run_traffic(gateway, streams, faults=fault_plan)
         states = await gateway.collect_states()
         health = await gateway.collect_health()
         status = gateway.status()

@@ -358,3 +358,32 @@ class TestServingStateSnapshot:
         assert restored.streaming.state_dict() == \
             runtime.streaming.state_dict()
         assert restored.applied_sequence("svc-0") == 0  # marks not in file
+
+
+class TestFaultArming:
+    """Faults may only be armed for services the gateway serves: a
+    misspelt id would otherwise hash onto some shard and kill it."""
+
+    def _gateway(self, tmp_path):
+        from repro.runtime import ServingGateway
+
+        fleet = make_fleet_series(2, 64, 0, seed=0)
+        detector = ZScoreDetector().fit(sorted(fleet),
+                                        [fleet[s] for s in sorted(fleet)])
+        return ServingGateway(tmp_path, detector, fleet)
+
+    def test_kill_for_unknown_service_raises(self, tmp_path):
+        gateway = self._gateway(tmp_path)
+        with pytest.raises(KeyError, match="svc-9"):
+            gateway.schedule_worker_kill("svc-9", 1)
+        assert gateway.schedule_worker_kill("svc-1", 1) == \
+            gateway.ring.assign("svc-1")
+
+    def test_fault_plan_for_unknown_service_raises(self, tmp_path):
+        from repro.runtime import GatewayFault
+
+        gateway = self._gateway(tmp_path)
+        with pytest.raises(KeyError, match="svc-9"):
+            gateway.apply_fault_plan({
+                "svc-9": GatewayFault("worker_slow_start")})
+        gateway.apply_fault_plan({"svc-0": GatewayFault("deliver_dropped")})

@@ -202,6 +202,26 @@ class TestServeCommand:
                      "--updates", "4"]) == 2
         assert "calibration floor" in capsys.readouterr().err
 
+    def test_kill_with_non_integer_applies(self, capsys):
+        assert main(["serve", "--services", "2", "--history", "64",
+                     "--updates", "4", "--kill", "svc-0:abc"]) == 2
+        assert "bad --kill 'svc-0:abc'" in capsys.readouterr().err
+
+    def test_kill_for_unknown_service(self, capsys):
+        # svc-9 does not exist among 2 services; it used to hash onto a
+        # real shard and kill that shard's worker instead.
+        assert main(["serve", "--services", "2", "--history", "64",
+                     "--updates", "3", "--kill", "svc-9:1"]) == 2
+        captured = capsys.readouterr()
+        assert "unknown service 'svc-9'" in captured.err
+        assert "ok:" not in captured.out
+
+    @pytest.mark.parametrize("rate", ["1.5", "-0.1"])
+    def test_fault_rate_out_of_range(self, capsys, rate):
+        assert main(["serve", "--services", "2", "--history", "64",
+                     "--updates", "4", "--fault-rate", rate]) == 2
+        assert "--fault-rate must be in [0, 1]" in capsys.readouterr().err
+
     def test_obs_report_renders_gateway_section(self, tmp_path, capsys):
         # the gateway leaves events.jsonl + metrics.jsonl behind; the
         # obs report must reconstruct the serving story from those alone
@@ -341,6 +361,13 @@ class TestTrafficCommand:
         assert main(self.ARGS) == 0
         golden = (Path(__file__).parent / "golden_traffic.txt").read_text()
         assert capsys.readouterr().out == golden
+
+    def test_fault_rate_out_of_range(self, capsys):
+        assert main(["traffic", "--services", "3", "--history", "64",
+                     "--updates", "5", "--fault-rate", "1.5"]) == 2
+        captured = capsys.readouterr()
+        assert "--fault-rate must be in [0, 1]" in captured.err
+        assert captured.out == ""
 
     def test_fault_free_preview_has_no_faults(self, capsys):
         assert main(["traffic", "--services", "3", "--history", "64",
