@@ -2,20 +2,21 @@
 # linter must be clean, the static and determinism analyzers must report
 # nothing outside their committed baselines, the full test suite must pass,
 # the chaos suites and the remediation drill must survive their fixed seed
-# matrices, and the disabled-path telemetry overhead must stay within its
-# effective budget, max(3%, 10 ms / baseline).  `make check` measures
-# without writing any tracked file.  Performance is measured by
-# `make bench`, which is kept out of `check`.
+# matrices, the disabled-path telemetry overhead must stay within its
+# effective budget, max(3%, 10 ms / baseline), and the detection-quality
+# gate (`make quality`, about a minute) must reproduce the committed F1.
+# `make check` measures without writing any tracked file.  Performance is
+# measured by `make bench`, which is kept out of `check`.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: check lint analyze analyze-baseline det-check det-baseline test \
         chaos chaos-train chaos-serve drill check-model obs-overhead \
-        bench help
+        quality bench help
 
 check: lint analyze det-check test chaos chaos-train chaos-serve drill \
-       obs-overhead
+       obs-overhead quality
 
 lint:
 	$(PYTHON) -m repro.analysis.lint
@@ -74,6 +75,16 @@ drill:
 check-model:
 	$(PYTHON) -m repro check-model
 
+# Detection-quality gate (benchmarks/quality.py): the six Table IX variants
+# on smd and j-d1 must reproduce benchmarks/results/table9.json bit for bit,
+# MACE must beat every Table V baseline in table5.json there, and the four
+# ablations the paper's claims rest on must cost F1.  A change that states
+# a tolerance runs it as
+#     make quality QUALITY_ARGS="--tolerance 0.01"
+# (absolute F1 per cell; the claims are checked either way).
+quality:
+	$(PYTHON) benchmarks/quality.py $(QUALITY_ARGS)
+
 # Telemetry overhead gate: the instrumented (tracing-disabled, default)
 # seeded 2-epoch trainer run, over 7 paired rounds (median of per-round
 # differences), must stay within 3% of the span-stripped baseline or
@@ -93,7 +104,7 @@ bench:
 help:
 	@echo "make check            - lint + analyze + det-check + test + chaos +"
 	@echo "                        chaos-train + chaos-serve + drill +"
-	@echo "                        obs-overhead (tier-1 gate)"
+	@echo "                        obs-overhead + quality (tier-1 gate)"
 	@echo "make lint             - repo linter (repro.analysis.lint)"
 	@echo "make analyze          - static model-graph analyzer vs committed baseline"
 	@echo "make analyze-baseline - re-accept current analyzer warnings"
@@ -105,5 +116,6 @@ help:
 	@echo "make chaos-serve      - serving-gateway chaos suite (loss-free failover)"
 	@echo "make drill            - closed-loop remediation drill gate (>=90% converge)"
 	@echo "make check-model      - static MACE shape/dtype contract check"
+	@echo "make quality          - Table IX F1 vs table9.json + paper claims"
 	@echo "make obs-overhead     - telemetry overhead gate (max(3%, 10 ms/baseline))"
 	@echo "make bench            - MACE benchmark suite vs committed baseline"

@@ -7,6 +7,10 @@ Variants (matching the paper's rows):
 * Dualistic Convolution (T) → no stage-1 amplifier;
 * Frequency Characterization → drop the marked-basis channels;
 * Pattern extraction → vanilla DFT/IDFT *and* no characterization markers.
+
+The MACE row is Table V's MACE run (same detector, groups and protocol),
+so running this bench also refreshes the MACE rows of ``table5.json``
+(``update_mace_rows``); Table V's baselines keep their committed rows.
 """
 
 from common import (
@@ -17,6 +21,7 @@ from common import (
     run_once,
     save_results,
     scale_params,
+    update_mace_rows,
 )
 from repro.data import unified_groups
 from repro.eval import format_table, run_unified
@@ -32,10 +37,10 @@ VARIANTS = {
 }
 
 
-def compute_table():
+def compute_table(datasets=TABLE_DATASETS):
     params = scale_params()
     results = {}
-    for dataset_name in TABLE_DATASETS:
+    for dataset_name in datasets:
         dataset = bench_dataset(dataset_name)
         groups = unified_groups(dataset, params["group_size"])
         per_variant = {}
@@ -65,6 +70,8 @@ def test_table9_ablation(benchmark):
         ))
         print()
     save_results("table9", {"measured": measured, "paper": PAPER_TABLE9_F1})
+    update_mace_rows("table5", {name: per_variant["MACE"]
+                                for name, per_variant in results.items()})
 
     # Shape: the full model is at least as good as (almost) every ablation
     # on the diverse dataset, and the pattern-extraction ablation hurts most

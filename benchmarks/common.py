@@ -157,6 +157,19 @@ def save_results(name: str, payload: Dict) -> Path:
     return path
 
 
+def update_mace_rows(name: str, outcomes: Dict) -> Path:
+    """Replace the MACE rows of ``results/<name>.json`` with ``outcomes``
+    (dataset -> protocol result), keeping every other row."""
+    path = RESULTS_DIR / f"{name}.json"
+    payload = json.loads(path.read_text())
+    for dataset_name, outcome in outcomes.items():
+        payload["measured"][dataset_name]["MACE"] = {
+            "precision": outcome.precision, "recall": outcome.recall,
+            "f1": outcome.f1}
+    path.write_text(json.dumps(payload, indent=2, default=float))
+    return path
+
+
 def run_once(benchmark, fn):
     """Run a heavy experiment exactly once under pytest-benchmark."""
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)

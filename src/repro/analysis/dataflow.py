@@ -140,7 +140,7 @@ def propagate(graph: Graph, envelope: float = 1e3
         shapes = [nodes[p].shape for p in node.parents]
         same = len(node.parents) == 2 and node.parents[0] == node.parents[1]
         ctx = OpContext(node.op, ins, node.attrs, shapes, node.shape,
-                        same_input=same)
+                        same_input=same, dtype=node.dtype)
         value = transfer(ctx)
         asserted = _asserted_range(node) if node.frames else None
         values.append(asserted if asserted is not None else value)

@@ -21,9 +21,10 @@ Rules
     and gradcheck are allowed to do this (see ``SANCTIONED_DATA_FILES``).
 
 ``REP103`` float32 literal in library code
-    The substrate is float64 end to end; a stray ``np.float32`` or
-    ``dtype="float32"`` introduces silent mixed-precision promotion in hot
-    paths.
+    Precision is chosen in one place, ``MaceConfig.dtype``, and flows from
+    the model's parameters; everything else defaults to float64.  A stray
+    ``np.float32`` or ``dtype="float32"`` introduces silent mixed-precision
+    promotion in hot paths.
 
 ``REP104`` missing ``__all__`` in public library module
     Every public module under ``src/`` must declare its export surface so
@@ -138,7 +139,7 @@ __all__ = ["Violation", "lint_source", "lint_paths", "main", "RULES",
 RULES = {
     "REP101": "bare np.random.* call (use repro.nn.random / default_rng)",
     "REP102": ".data mutation of a tensor outside sanctioned helpers",
-    "REP103": "float32 literal in library code (substrate is float64)",
+    "REP103": "float32 literal in library code (dtype comes from MaceConfig.dtype)",
     "REP104": "public library module without __all__",
     "REP105": "bare except: in library code (catch a concrete type)",
     "REP106": "mutable default argument (shared across calls)",
@@ -292,8 +293,8 @@ def _check_float32(tree: ast.AST, path: str, out: List[Violation]) -> None:
                 and node.value.id in ("np", "numpy")):
             out.append(Violation(
                 path, node.lineno, node.col_offset, "REP103",
-                "np.float32 in library code mixes precisions with the "
-                "float64 substrate; drop the dtype or use float64",
+                "np.float32 in library code mixes precisions; take the "
+                "dtype from the data or from MaceConfig.dtype",
             ))
         elif isinstance(node, ast.Call):
             for keyword in node.keywords:
@@ -303,8 +304,8 @@ def _check_float32(tree: ast.AST, path: str, out: List[Violation]) -> None:
                     out.append(Violation(
                         path, keyword.value.lineno, keyword.value.col_offset,
                         "REP103",
-                        'dtype="float32" in library code mixes precisions '
-                        "with the float64 substrate",
+                        'dtype="float32" in library code mixes precisions; '
+                        "take the dtype from the data or MaceConfig.dtype",
                     ))
 
 

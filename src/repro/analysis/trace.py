@@ -49,13 +49,14 @@ class GraphNode:
     """One vertex of the traced computation graph."""
 
     __slots__ = ("index", "kind", "op", "shape", "parents", "attrs",
-                 "module_path", "frames", "name", "envelope")
+                 "module_path", "frames", "name", "envelope", "dtype")
 
     def __init__(self, index: int, kind: str, op: str, shape: tuple,
                  parents: Tuple[int, ...] = (), attrs: Optional[dict] = None,
                  module_path: str = "", frames: tuple = (),
                  name: Optional[str] = None,
-                 envelope: Optional[Interval] = None):
+                 envelope: Optional[Interval] = None,
+                 dtype: str = "float64"):
         self.index = index
         self.kind = kind  # "op" | "input" | "param" | "const"
         self.op = op
@@ -66,6 +67,7 @@ class GraphNode:
         self.frames = frames
         self.name = name
         self.envelope = envelope
+        self.dtype = dtype
 
     @property
     def location(self) -> Tuple[str, int]:
@@ -204,6 +206,7 @@ def trace(fn: Callable[[], object], inputs: Sequence[Tensor] = (),
         node = graph.add(GraphNode(
             index=len(graph.nodes), kind=kind, op="leaf", shape=t.shape,
             module_path=current_path(), name=name, envelope=envelope,
+            dtype=t.dtype.name,
         ))
         graph.tensor_index[id(t)] = node.index
         graph._keepalive.append(t)
@@ -219,6 +222,7 @@ def trace(fn: Callable[[], object], inputs: Sequence[Tensor] = (),
             index=len(graph.nodes), kind="op", op=op, shape=out.shape,
             parents=parent_indices, attrs=out._attrs,
             module_path=current_path(), frames=_capture_frames(),
+            dtype=out.dtype.name,
         ))
         graph.tensor_index[id(out)] = node.index
         graph._keepalive.append(out)

@@ -11,7 +11,6 @@ from repro.core.dualistic import (
     dualistic_conv_numpy,
 )
 from repro.core.model import MaceConfig, MaceModel, MaceOutput
-from repro.core.interpret import FeatureAttribution, explain_interval, feature_error_timelines
 from repro.core.pattern_extraction import PatternExtractor
 from repro.core.persistence import (
     CorruptArtifactError,
@@ -34,5 +33,4 @@ __all__ = [
     "save_detector", "load_detector", "StreamingDetector", "StreamUpdate",
     "DetectorPersistenceError", "MissingArtifactError",
     "CorruptArtifactError", "StateMismatchError",
-    "FeatureAttribution", "explain_interval", "feature_error_timelines",
 ]

@@ -67,7 +67,8 @@ class FrequencyCharacterization(Module):
     def _markers(self, subspace: ServiceSubspace) -> np.ndarray:
         key = id(subspace)  # effects: ok ID_HASH reason=per-instance cache key; marker values are independent of it
         if key not in self._marker_cache:
-            self._marker_cache[key] = frequency_marker_channels(subspace)
+            self._marker_cache[key] = frequency_marker_channels(subspace) \
+                .astype(self.conv.weight.dtype)
         return self._marker_cache[key]
 
     def contract(self, spec: TensorSpec) -> TensorSpec:

@@ -141,7 +141,7 @@ class DualisticConv1d(Module):
             # Literal γ < −1: power the ε-clamped magnitude to −γ, keep sign.
             # Zeros clamp to +ε; scaling by sign(0) = 0 would hand odd_power
             # a zero, whose negative power is infinite.
-            direction = Tensor(np.where(x.data < 0, -1.0, 1.0))
+            direction = Tensor(np.where(x.data < 0, -1.0, 1.0).astype(x.dtype))
             clamped = x.abs().clip(self.eps, np.inf) * direction
             powered = odd_power(clamped, -gamma) * (1.0 / self.sigma)
             conv = F.conv1d(powered, self._kernel(), stride=self.stride,
@@ -251,11 +251,28 @@ class TimeDomainAmplifier(Module):
             )
         return spec
 
+    def overflow_bound(self, dtype) -> float:
+        """Input magnitude up to which ``|x|**γ / σ`` stays finite.
+
+        The powered value may reach half of the dtype's largest value; the
+        other half is headroom for rounding in the convolution, whose
+        fixed kernel averages (its weights sum to 1).  With γ = 11 and
+        σ ≥ 1 the bound is about 3.0e3 in float32 and 9e27 in float64.
+        """
+        largest = float(np.finfo(dtype).max)
+        return (0.5 * largest * min(self.sigma, 1.0)) ** (1.0 / self.gamma)
+
     def forward(self, x: Tensor) -> Tensor:
         """``(N, T, m) -> (N, T, m)`` amplified windows."""
         n, t, m = x.shape
         flat = x.swapaxes(1, 2).reshape(n * m, 1, t)
-        amplified = self.peak(flat)
+        # Overflow guard: a sample beyond the bound would power to inf and
+        # turn its whole window's scores into inf/NaN.  Clipping it keeps
+        # the envelope at the bound, while the blend below keeps the raw
+        # sample, so the spike still scores highest.  Values inside the
+        # bound are returned bit for bit.
+        bound = self.overflow_bound(x.dtype)
+        amplified = self.peak(flat.clip(-bound, bound))
         amplified = amplified.reshape(n, m, t).swapaxes(1, 2)
         if self.blend >= 1.0:
             return amplified

@@ -72,6 +72,11 @@ class MaceConfig:
     grad_clip: float = 5.0
     subspace_stride: int = 4
     seed: int = 0
+    # Precision of the parameters, activations, gradients and optimizer
+    # moments.  float32 is PyTorch's default, in which the paper's models
+    # run.  float64 is the reference path, and detectors saved before
+    # this field existed load with it (repro.core.persistence).
+    dtype: str = "float32"
 
     def ablate(self, **changes) -> "MaceConfig":
         """Return a copy with the given fields changed (Table IX variants)."""
@@ -175,6 +180,10 @@ class MaceModel(Module):
         )
         self.peak_branch = _Branch(config, "peak", rng=rng)
         self.valley_branch = _Branch(config, "valley", rng=rng)
+        # Initialised in float64 from the same draws whatever the dtype,
+        # then cast once.
+        self.dtype = np.dtype(config.dtype)
+        self.to(self.dtype)
 
     def contract(self, spec: TensorSpec) -> TensorSpec:
         """Validate the full four-stage pipeline on ``(N, T, m)`` windows.
@@ -184,6 +193,8 @@ class MaceModel(Module):
         """
         spec.require_ndim(3, "MaceModel")
         spec.require_axis(1, self.config.window, "MaceModel", "window")
+        # forward() casts its input to the model's dtype.
+        spec = spec.with_shape(spec.shape, self.dtype)
         amplified = spec
         if self.config.use_time_amplifier:
             amplified = child_contract("amplifier", self.amplifier, spec)
@@ -212,10 +223,12 @@ class MaceModel(Module):
         """Run all four stages for one service's window batch."""
         if windows.ndim != 3:
             raise ValueError("windows must be (N, T, m)")
+        if windows.dtype != self.dtype:
+            windows = windows.astype(self.dtype)
         amplified = (
             self.amplifier(windows) if self.config.use_time_amplifier else windows
         )
-        dft, idft = extractor.transforms(service_id)
+        dft, idft = extractor.transforms(service_id, self.dtype)
         subspace = extractor.subspace(service_id)
         coeffs = dft(amplified)  # (N, m, 2k)
         n, m, width = coeffs.shape

@@ -62,15 +62,17 @@ class PatternExtractor:
             raise KeyError(f"no subspace fitted for service {service_id!r}")
         return self._subspaces[service_id]
 
-    def transforms(self, service_id: str) -> Tuple[ContextAwareDFT, ContextAwareIDFT]:
-        """Cached, amplitude-normalised DFT/IDFT modules for a service."""
-        if service_id not in self._transforms:
+    def transforms(self, service_id: str, dtype=np.float64
+                   ) -> Tuple[ContextAwareDFT, ContextAwareIDFT]:
+        """Cached, amplitude-normalised DFT/IDFT modules for a service,
+        with weights in ``dtype`` (the model's)."""
+        cached = self._transforms.get(service_id)
+        if cached is None or cached[0].dtype != dtype:
             subspace = self.subspace(service_id)
-            self._transforms[service_id] = (
-                ContextAwareDFT(subspace, normalized=True),
-                ContextAwareIDFT(subspace, normalized=True),
-            )
-        return self._transforms[service_id]
+            cached = (ContextAwareDFT(subspace, normalized=True, dtype=dtype),
+                      ContextAwareIDFT(subspace, normalized=True, dtype=dtype))
+            self._transforms[service_id] = cached
+        return cached
 
     def __contains__(self, service_id: str) -> bool:
         return service_id in self._subspaces

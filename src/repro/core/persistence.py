@@ -127,7 +127,8 @@ def load_detector(path: str | Path) -> MaceDetector:
         )
 
     try:
-        config = MaceConfig(**manifest["config"])
+        # Detectors saved before MaceConfig.dtype existed ran in float64.
+        config = MaceConfig(**{"dtype": "float64", **manifest["config"]})
     except TypeError as error:
         raise CorruptArtifactError(
             f"manifest {manifest_path} has an invalid config block: {error}"

@@ -216,6 +216,8 @@ class MaceTrainer:
                 f"service {service_id!r} has no fitted subspace; call "
                 "fit() or prepare_service() first"
             )
+        # Cast once here rather than per chunk in the model's forward.
+        windows = np.asarray(windows, dtype=self.model.dtype)
         pieces = []
         with no_grad():
             for start in range(0, windows.shape[0], batch_size):

@@ -154,10 +154,12 @@ class ServiceSubspace:
 class ContextAwareDFT(Module):
     """Differentiable projection onto a service subspace.
 
-    Input ``(N, T, m)`` tensor, output ``(N, m, 2k)`` coefficients.
+    Input ``(N, T, m)`` tensor, output ``(N, m, 2k)`` coefficients.  The
+    weight is built in float64 and stored in ``dtype``.
     """
 
-    def __init__(self, subspace: ServiceSubspace, normalized: bool = False):
+    def __init__(self, subspace: ServiceSubspace, normalized: bool = False,
+                 dtype=np.float64):
         super().__init__()
         self.subspace = subspace
         self.normalized = normalized
@@ -168,7 +170,8 @@ class ContextAwareDFT(Module):
             # windows) so high dualistic powers stay numerically stable;
             # the paired IDFT undoes the scaling.
             weight = weight * (2.0 / subspace.window)
-        self._weight = Tensor(np.ascontiguousarray(weight))
+        self._weight = Tensor(np.ascontiguousarray(weight, dtype=dtype))
+        self.dtype = self._weight.dtype
 
     def forward(self, windows: Tensor) -> Tensor:
         n, t, m = windows.shape
@@ -189,10 +192,12 @@ class ContextAwareDFT(Module):
 class ContextAwareIDFT(Module):
     """Differentiable synthesis from subspace coefficients.
 
-    Input ``(N, m, 2k)``, output ``(N, T, m)``.
+    Input ``(N, m, 2k)``, output ``(N, T, m)``.  The weight is built in
+    float64 and stored in ``dtype``.
     """
 
-    def __init__(self, subspace: ServiceSubspace, normalized: bool = False):
+    def __init__(self, subspace: ServiceSubspace, normalized: bool = False,
+                 dtype=np.float64):
         super().__init__()
         self.subspace = subspace
         self.normalized = normalized
@@ -200,7 +205,8 @@ class ContextAwareIDFT(Module):
         weight = np.swapaxes(subspace._inverse, 1, 2)
         if normalized:
             weight = weight * (subspace.window / 2.0)
-        self._weight = Tensor(np.ascontiguousarray(weight))
+        self._weight = Tensor(np.ascontiguousarray(weight, dtype=dtype))
+        self.dtype = self._weight.dtype
 
     def forward(self, coeffs: Tensor) -> Tensor:
         n, m, c = coeffs.shape

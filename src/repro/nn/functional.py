@@ -19,7 +19,8 @@ the layout, so this gives:
   (``tests/nn/test_conv_reference.py`` keeps einsum as the reference);
 * batch-size invariance: the batch index only ever lands on the column
   axis of the right operand, so each window's result is the same bits
-  whether it is scored alone or in a batch.
+  whether it is scored alone or in a batch (below float64, a one-row
+  weight also needs einsum's loop for that; see ``_product``).
 
 The obvious row-major ``cols @ W.T`` is *not* equivalent.  It changes the
 summation order (up to 6e-16 relative) and breaks batch-size invariance.
@@ -106,8 +107,19 @@ def _matrix(view: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b``; when the contracted size is 1, einsum's elementwise outer
-    product instead, which keeps the products' signed zeros."""
-    return a * b if a.shape[1] == 1 else a @ b
+    product instead, which keeps the products' signed zeros.
+
+    Below float64, a single-row ``a`` goes through einsum's
+    sum-of-products loop rather than BLAS: BLAS's single-row kernels round
+    the last columns differently depending on how many there are, which
+    would make a window's score depend on the batch it was scored in.  In
+    float64 the BLAS call is batch-invariant and stays.
+    """
+    if a.shape[1] == 1:
+        return a * b
+    if a.shape[0] == 1 and a.dtype != np.float64:
+        return np.einsum("k,kn->n", a[0], b)[None]
+    return a @ b
 
 
 def _overlap_add(cols: np.ndarray, length: int, stride: int) -> np.ndarray:
@@ -119,7 +131,7 @@ def _overlap_add(cols: np.ndarray, length: int, stride: int) -> np.ndarray:
     through a window view of the output; overlapping ones one add per
     kernel tap.
     """
-    out = np.zeros(cols.shape[:2] + (length,))
+    out = np.zeros(cols.shape[:2] + (length,), dtype=cols.dtype)
     kernel = cols.shape[-1]
     if stride >= kernel:
         _windows(out, kernel, stride)[...] += cols

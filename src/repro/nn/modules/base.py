@@ -99,6 +99,18 @@ class Module:
         for param in self.parameters():
             param.grad = None
 
+    def to(self, dtype) -> "Module":
+        """Cast every parameter and floating buffer to ``dtype``, in place."""
+        dtype = np.dtype(dtype)
+        for param in self.parameters():
+            if param.data.dtype != dtype:
+                param.data = param.data.astype(dtype)
+        for module in self.modules():
+            for name, buf in module._buffers.items():
+                if np.asarray(buf).dtype.kind == "f":
+                    module.update_buffer(name, np.asarray(buf, dtype=dtype))
+        return self
+
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
@@ -135,7 +147,10 @@ class Module:
         for name in list(self._buffers):
             key = prefix + name
             if key in state:
-                self.update_buffer(name, np.array(state[key], copy=True))
+                # Like parameters, a buffer keeps its own dtype.
+                dtype = np.asarray(self._buffers[name]).dtype
+                self.update_buffer(name, np.array(state[key], dtype=dtype,
+                                                  copy=True))
         for name, module in self._modules.items():
             module._load_buffers(state, prefix + name + ".")
 

@@ -32,9 +32,11 @@ __all__ = [
     "CANCELLATION_MAGNITUDE",
 ]
 
-# Largest float64-safe argument of exp / result magnitude of a power.
-EXP_OVERFLOW_BOUND = 709.0
-POWER_OVERFLOW_BOUND = 1e300
+# Largest safe argument of exp and result magnitude of a power, per node
+# dtype: exp overflows past log(largest value), 709.78 in float64 and
+# 88.72 in float32.  A dtype missing here is checked as float64.
+EXP_OVERFLOW_BOUND = {"float64": 709.0, "float32": 88.7}
+POWER_OVERFLOW_BOUND = {"float64": 1e300, "float32": 3.4e38}
 # Two overlapping operands that can both exceed this magnitude make a
 # subtraction a float64 catastrophic-cancellation hot spot.
 CANCELLATION_MAGNITUDE = 1e8
@@ -54,9 +56,9 @@ DF_RULES: Dict[str, Rule] = {
     "DF203": Rule("div-by-zero-interval", "error",
                   "division by an interval containing zero"),
     "DF204": Rule("exp-overflow", "warn",
-                  "exp argument can exceed the float64 overflow bound"),
+                  "exp argument can exceed the dtype's overflow bound"),
     "DF205": Rule("power-overflow", "warn",
-                  "power result can exceed float64 range"),
+                  "power result can exceed the dtype's range"),
     "DF206": Rule("fractional-power-of-negative", "error",
                   "non-integer power of an interval containing negatives"),
     "DF208": Rule("catastrophic-cancellation", "warn",
@@ -68,11 +70,11 @@ class OpContext:
     """Everything a transfer function may consult about one graph op."""
 
     __slots__ = ("op", "ins", "attrs", "in_shapes", "out_shape",
-                 "same_input", "issues")
+                 "same_input", "dtype", "issues")
 
     def __init__(self, op: str, ins: List[Interval], attrs: Optional[dict],
                  in_shapes: List[tuple], out_shape: tuple,
-                 same_input: bool = False):
+                 same_input: bool = False, dtype: str = "float64"):
         self.op = op
         self.ins = ins
         self.attrs = attrs or {}
@@ -81,10 +83,16 @@ class OpContext:
         # True when the op's two operands are the very same tensor object
         # (e.g. ``centered * centered``), enabling the tight square rule.
         self.same_input = same_input
+        # Name of the output's dtype; selects the overflow bounds.
+        self.dtype = dtype
         self.issues: List[Tuple[str, str]] = []
 
     def flag(self, code: str, message: str) -> None:
         self.issues.append((code, message))
+
+    def bound(self, table: Dict[str, float]) -> float:
+        """This node's entry of a per-dtype bound table."""
+        return table.get(self.dtype, table["float64"])
 
 
 def _shape_size(shape: tuple) -> int:
@@ -146,13 +154,13 @@ def _t_pow(ctx: OpContext) -> Interval:
                  f"x**{exponent} of interval {base} containing zero divides "
                  "by zero")
     result = base.power(exponent)
-    if result.is_bounded and result.magnitude() > POWER_OVERFLOW_BOUND:
+    if result.is_bounded and result.magnitude() > ctx.bound(POWER_OVERFLOW_BOUND):
         ctx.flag("DF205",
                  f"x**{exponent} of interval {base} can reach magnitude "
                  f"{result.magnitude():.3g}")
     elif not result.is_bounded and base.is_bounded and exponent > 1.0:
         ctx.flag("DF205",
-                 f"x**{exponent} of interval {base} overflows float64")
+                 f"x**{exponent} of interval {base} overflows {ctx.dtype}")
     return result
 
 
@@ -162,10 +170,11 @@ def _t_matmul(ctx: OpContext) -> Interval:
 
 
 def _t_exp(ctx: OpContext) -> Interval:
-    if ctx.ins[0].hi > EXP_OVERFLOW_BOUND:
+    bound = ctx.bound(EXP_OVERFLOW_BOUND)
+    if ctx.ins[0].hi > bound:
         ctx.flag("DF204",
-                 f"exp of interval {ctx.ins[0]} can exceed exp({EXP_OVERFLOW_BOUND:.0f}) "
-                 "and overflow to inf")
+                 f"exp of interval {ctx.ins[0]} can exceed exp({bound:.1f}) "
+                 f"and overflow to inf in {ctx.dtype}")
     return ctx.ins[0].exp()
 
 
@@ -242,14 +251,14 @@ def _t_minimum(ctx: OpContext) -> Interval:
 def _t_odd_power(ctx: OpContext) -> Interval:
     gamma = float(ctx.attrs.get("gamma", 1.0))
     result = ctx.ins[0].odd_power(gamma)
-    if result.is_bounded and result.magnitude() > POWER_OVERFLOW_BOUND:
+    if result.is_bounded and result.magnitude() > ctx.bound(POWER_OVERFLOW_BOUND):
         ctx.flag("DF205",
                  f"odd_power(gamma={gamma}) of interval {ctx.ins[0]} can "
                  f"reach magnitude {result.magnitude():.3g}")
     elif not result.is_bounded and ctx.ins[0].is_bounded and gamma > 1.0:
         ctx.flag("DF205",
                  f"odd_power(gamma={gamma}) of interval {ctx.ins[0]} "
-                 "overflows float64")
+                 f"overflows {ctx.dtype}")
     return result
 
 
@@ -308,6 +317,7 @@ OP_INFO: Dict[str, Callable[[OpContext], Interval]] = {
     "leaky_relu": _t_leaky_relu,
     "clip": _t_clip,
     "sum": _t_sum,
+    "astype": _t_identity,
     "max": _t_identity,
     "min": _t_identity,
     "reshape": _t_identity,

@@ -37,10 +37,29 @@ __all__ = [
 _DEFAULT_DTYPE = np.float64
 
 
-def _as_array(value, dtype=_DEFAULT_DTYPE) -> np.ndarray:
+def _as_array(value) -> np.ndarray:
+    """``value`` as an array.  Floating arrays and NumPy floating scalars
+    keep their precision; everything else (Python numbers, lists, integer
+    and boolean arrays) becomes float64."""
     if isinstance(value, Tensor):
         return value.data
-    return np.asarray(value, dtype=dtype)
+    floating = isinstance(value, (np.ndarray, np.floating)) \
+        and value.dtype.kind == "f"
+    return np.asarray(value, dtype=value.dtype if floating else _DEFAULT_DTYPE)
+
+
+def _operand(value, like: "Tensor") -> "Tensor":
+    """``value`` as a tensor; a Python or 0-d scalar takes ``like``'s dtype.
+
+    NumPy promotes ``float32 array * float64 0-d array`` to float64, so a
+    scalar wrapped as float64 would silently upcast a float32 graph.
+    """
+    if isinstance(value, Tensor):
+        return value
+    if isinstance(value, (int, float, np.number)) or (
+            isinstance(value, np.ndarray) and value.ndim == 0):
+        return Tensor(np.asarray(value, dtype=like.data.dtype))
+    return Tensor(value)
 
 
 def _consumed_marker(_grad):
@@ -91,13 +110,22 @@ def _is_basic_key(key) -> bool:
                for item in (key if isinstance(key, tuple) else (key,)))
 
 
+def _pair(a, b) -> tuple:
+    """Both operands as tensors, a scalar one taking the other's dtype."""
+    if isinstance(a, Tensor):
+        return a, _operand(b, a)
+    b = b if isinstance(b, Tensor) else Tensor(b)
+    return _operand(a, b), b
+
+
 class Tensor:
     """A NumPy array plus gradient bookkeeping.
 
     Parameters
     ----------
     data:
-        Anything convertible to ``numpy.ndarray`` (floats coerced to float64).
+        Anything convertible to ``numpy.ndarray``.  Floating arrays keep
+        their dtype; anything else is coerced to float64.
     requires_grad:
         When true, operations involving this tensor record backward closures
         and ``backward()`` will populate ``grad``.
@@ -116,7 +144,9 @@ class Tensor:
     )
 
     def __init__(self, data, requires_grad: bool = False):
-        self._data = _as_array(data)
+        # Op outputs are floating ndarrays already: skip the conversion.
+        self._data = data if type(data) is np.ndarray and data.dtype.kind == "f" \
+            else _as_array(data)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._backward = None
@@ -176,6 +206,17 @@ class Tensor:
 
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=self.requires_grad)
+
+    def astype(self, dtype) -> "Tensor":
+        """This tensor cast to ``dtype``; the gradient is cast back."""
+        data = self.data.astype(dtype)
+
+        def backward(grad):
+            if self.requires_grad:
+                # ``_accumulate`` converts to this tensor's dtype.
+                self._accumulate(grad)
+
+        return Tensor._from_op(data, (self,), backward, "astype")
 
     def __len__(self) -> int:
         return len(self.data)
@@ -290,7 +331,7 @@ class Tensor:
     # Arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = _operand(other, self)
         data = self.data + other.data
 
         def backward(grad):
@@ -304,7 +345,7 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = _operand(other, self)
         data = self.data - other.data
 
         def backward(grad):
@@ -316,10 +357,10 @@ class Tensor:
         return Tensor._from_op(data, (self, other), backward, "sub")
 
     def __rsub__(self, other) -> "Tensor":
-        return Tensor(other) - self
+        return _operand(other, self) - self
 
     def __mul__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = _operand(other, self)
         data = self.data * other.data
 
         def backward(grad):
@@ -333,7 +374,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = _operand(other, self)
         data = self.data / other.data
 
         def backward(grad):
@@ -347,7 +388,7 @@ class Tensor:
         return Tensor._from_op(data, (self, other), backward, "div")
 
     def __rtruediv__(self, other) -> "Tensor":
-        return Tensor(other) / self
+        return _operand(other, self) / self
 
     def __neg__(self) -> "Tensor":
         data = -self.data
@@ -371,7 +412,7 @@ class Tensor:
                                attrs={"exponent": float(exponent)})
 
     def __matmul__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = _operand(other, self)
         data = self.data @ other.data
 
         def backward(grad):
@@ -469,11 +510,14 @@ class Tensor:
         return Tensor._from_op(data, (self,), backward, "relu")
 
     def clip(self, low: float, high: float) -> "Tensor":
-        data = np.clip(self.data, low, high)
-        mask = (self.data >= low) & (self.data <= high)
+        # ``np.clip``'s values, without its per-call wrapper overhead.
+        data = np.minimum(np.maximum(self.data, low), high)
 
         def backward(grad):
             if self.requires_grad:
+                # The tape's version check guarantees ``self.data`` is
+                # still the forward's input.
+                mask = (self.data >= low) & (self.data <= high)
                 self._accumulate(grad * mask)
 
         return Tensor._from_op(data, (self,), backward, "clip",
@@ -685,8 +729,7 @@ def where(condition, a, b, *, _op: str = "where") -> Tensor:
     analyzer can apply a tighter transfer function than the select union.
     """
     cond = condition.data if isinstance(condition, Tensor) else np.asarray(condition)
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
+    a, b = _pair(a, b)
     data = np.where(cond, a.data, b.data)
 
     def backward(grad):
@@ -701,16 +744,14 @@ def where(condition, a, b, *, _op: str = "where") -> Tensor:
 
 def maximum(a, b) -> Tensor:
     """Elementwise maximum; ties route gradient to the first argument."""
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
+    a, b = _pair(a, b)
     take_a = a.data >= b.data
     return where(take_a, a, b, _op="maximum")
 
 
 def minimum(a, b) -> Tensor:
     """Elementwise minimum; ties route gradient to the first argument."""
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
+    a, b = _pair(a, b)
     take_a = a.data <= b.data
     return where(take_a, a, b, _op="minimum")
 

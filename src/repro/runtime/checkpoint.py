@@ -136,7 +136,8 @@ def load_training_checkpoint(path: str | Path) -> TrainingCheckpoint:
         grad_norms=[float(x) for x in meta["grad_norms"]],
         nonfinite_batches=[(int(e), int(b))
                            for e, b in meta.get("nonfinite_batches", [])],
-        config=meta["config"],
+        # Checkpoints written before MaceConfig.dtype existed ran in float64.
+        config={"dtype": "float64", **meta["config"]},
     )
 
 

@@ -120,7 +120,8 @@ class TestCoreContracts:
         model = MaceModel(MaceConfig())
         out = check_model(model, ("N", 40, 3))
         assert out.shape == (Dim("N"), Dim(40), Dim(3))
-        assert out.dtype == np.float64
+        # The float64 input is cast to the model's default float32.
+        assert out.dtype == np.float32
 
     def test_full_mace_concrete_batch(self):
         model = MaceModel(MaceConfig())

@@ -22,7 +22,7 @@ from repro.analysis.lint import lint_source
 from repro.analysis.spec import TensorSpec
 from repro.analysis.trace import Graph, GraphNode, trace
 from repro.nn.modules.base import Module
-from repro.nn.tensor import Parameter, Tensor
+from repro.nn.tensor import Parameter, Tensor, odd_power
 
 
 # ----------------------------------------------------------------------
@@ -236,3 +236,33 @@ class TestTrace:
     def test_propagate_rejects_bad_envelope(self):
         with pytest.raises(ValueError):
             propagate(Graph(), envelope=0.0)
+
+
+class TestDtypeBounds:
+    """Overflow bounds follow each node's dtype (88.7 and 3.4e38 in
+    float32, 709 and 1e300 in float64)."""
+
+    @pytest.mark.parametrize("dtype, flagged", [("float32", True),
+                                                ("float64", False)])
+    def test_exp_over_0_to_100(self, dtype, flagged):
+        x = Tensor(np.zeros(3, dtype=dtype))
+        graph = trace(lambda: x.clip(0.0, 100.0).exp(), inputs=(x,))
+        _, findings = propagate(graph, envelope=100.0)
+        assert ("DF204" in {f.rule for f in findings}) is flagged
+
+    @pytest.mark.parametrize("dtype, flagged", [("float32", True),
+                                                ("float64", False)])
+    def test_odd_power_11_over_5e3(self, dtype, flagged):
+        x = Tensor(np.zeros(3, dtype=dtype))
+        graph = trace(lambda: odd_power(x, 11), inputs=(x,))
+        _, findings = propagate(graph, envelope=5e3)
+        assert ("DF205" in {f.rule for f in findings}) is flagged
+
+    def test_float32_mace_amplifier_guard_is_seen(self):
+        """The amplifier's clip bounds its power for any input envelope."""
+        from repro.analysis.audit import audit_models
+
+        report = audit_models(["MACE"], envelope=1e6)
+        (model,) = report["models"]
+        assert [f["rule"] for f in model["findings"]] == []
+

@@ -201,7 +201,8 @@ class TestMaceModel:
         extractor.fit_service("svc", series)
         windows = Tensor(np.stack([series[i:i + 40] for i in range(4)]))
         out = no_amp(windows, extractor, "svc")
-        np.testing.assert_array_equal(out.amplified.data, windows.data)
+        np.testing.assert_array_equal(out.amplified.data,
+                                      windows.data.astype(no_amp.dtype))
 
     def test_select_max_vs_average(self, setup, rng):
         model, extractor, windows = setup

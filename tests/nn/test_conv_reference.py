@@ -5,7 +5,9 @@
 uses for it.  The einsum implementations they replaced are kept below,
 verbatim, as the reference.  Outputs and every gradient must match them
 bit for bit (``tobytes()``), per op over a shape grid and through a whole
-seeded MACE fit.
+seeded float64 MACE fit.  (In float32 a one-row weight takes einsum's
+unplanned loop instead, for batch invariance; tests/core/test_float32.py
+covers that path.)
 """
 
 import sys
@@ -212,7 +214,7 @@ def test_conv_transpose1d_bitwise_equal_to_einsum(n, c_in, c_out, length, kernel
 # --- model level ------------------------------------------------------------
 
 def _fit_and_score(dataset):
-    detector = MaceDetector(MaceConfig(epochs=2))
+    detector = MaceDetector(MaceConfig(epochs=2, dtype="float64"))
     detector.fit([s.service_id for s in dataset], [s.train for s in dataset])
     params = {name: p.data.tobytes()
               for name, p in detector.trainer.model.named_parameters()}
@@ -231,8 +233,7 @@ def test_mace_fit_and_score_bitwise_equal_to_einsum(tiny_dataset, monkeypatch):
     assert score == ref_score
 
 
-def test_convolutions_never_call_einsum(tiny_dataset, monkeypatch):
-    """No per-call contraction planning in a MACE forward and backward."""
+def _fit_and_score_forbidding(dataset, monkeypatch, dtype, forbidden):
     def planned(name, original):
         def guard(*args, **kwargs):
             if sys._getframe(1).f_globals.get("__name__") == F.__name__:
@@ -240,10 +241,22 @@ def test_convolutions_never_call_einsum(tiny_dataset, monkeypatch):
             return original(*args, **kwargs)
         return guard
 
-    for name in ("einsum", "einsum_path"):
+    for name in forbidden:
         monkeypatch.setattr(np, name, planned(name, getattr(np, name)))
-    trainer = MaceTrainer(MaceConfig(epochs=1))
-    trainer.fit([s.service_id for s in tiny_dataset], [s.train for s in tiny_dataset])
-    service = tiny_dataset[0]
+    trainer = MaceTrainer(MaceConfig(epochs=1, dtype=dtype))
+    trainer.fit([s.service_id for s in dataset], [s.train for s in dataset])
+    service = dataset[0]
     windows = np.stack([service.test[i:i + 40] for i in range(3)])
     assert np.isfinite(trainer.window_errors(service.service_id, windows)).all()
+
+
+def test_convolutions_never_call_einsum(tiny_dataset, monkeypatch):
+    """No per-call contraction planning in a MACE forward and backward."""
+    _fit_and_score_forbidding(tiny_dataset, monkeypatch, "float64",
+                              ("einsum", "einsum_path"))
+
+
+def test_float32_convolutions_never_plan_einsum(tiny_dataset, monkeypatch):
+    """In float32 the one-row product's einsum runs unplanned."""
+    _fit_and_score_forbidding(tiny_dataset, monkeypatch, "float32",
+                              ("einsum_path",))

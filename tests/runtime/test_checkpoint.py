@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from repro.core import MaceTrainer, StreamingDetector
+from repro.nn.optim import Adam
+from repro.nn.serialization import load_state, save_state
 from repro.runtime import (
     CheckpointError,
     Checkpointer,
     FaultInjector,
     load_streaming_state,
     load_training_checkpoint,
+    restore_trainer,
     save_streaming_state,
 )
 from tests.runtime.conftest import fast_config
@@ -87,6 +90,46 @@ class TestResumeEquivalence:
         other = MaceTrainer(fast_config(epochs=3, learning_rate=1e-4))
         with pytest.raises(CheckpointError, match="different config"):
             other.fit(ids, trains, resume=Checkpointer(tmp_path).latest())
+
+
+    def test_float32_resume_keeps_float32_state(self, runtime_dataset,
+                                                tmp_path):
+        ids, trains = _fit_args(runtime_dataset)
+        config = fast_config(epochs=3)
+        assert config.dtype == "float32"
+        killer = KillingCheckpointer(tmp_path, kill_after_epoch=1)
+        with pytest.raises(SimulatedKill):
+            MaceTrainer(config).fit(ids, trains, checkpointer=killer)
+        trainer = MaceTrainer(config)
+        optimizer = Adam(trainer.model.parameters(), lr=config.learning_rate)
+        assert restore_trainer(trainer, optimizer,
+                               Checkpointer(tmp_path).latest()) == 1
+        arrays = [p.data for p in trainer.model.parameters()]
+        arrays += [slot for name, slot in optimizer.state_dict().items()
+                   if name != "step_count"]
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+
+    def test_checkpoint_without_dtype_resumes_as_float64(self,
+                                                         runtime_dataset,
+                                                         tmp_path):
+        """Checkpoints written before MaceConfig.dtype existed ran in
+        float64."""
+        ids, trains = _fit_args(runtime_dataset)
+        config = fast_config(epochs=3, dtype="float64")
+        killer = KillingCheckpointer(tmp_path, kill_after_epoch=1)
+        with pytest.raises(SimulatedKill):
+            MaceTrainer(config).fit(ids, trains, checkpointer=killer)
+        latest = Checkpointer(tmp_path).latest()
+        payload = load_state(latest)
+        meta = json.loads(str(payload["meta"]))
+        del meta["config"]["dtype"]
+        payload["meta"] = np.asarray(json.dumps(meta))
+        save_state(payload, latest)
+        reference = MaceTrainer(config).fit(ids, trains)
+        resumed = MaceTrainer(config).fit(ids, trains, resume=latest)
+        assert resumed.history.epoch_losses == reference.history.epoch_losses
+        with pytest.raises(CheckpointError, match="different config"):
+            MaceTrainer(fast_config(epochs=3)).fit(ids, trains, resume=latest)
 
 
 class TestCheckpointFiles:
