@@ -6,6 +6,10 @@ peak traced memory.  The claims to preserve: MACE's cost is in the
 VAE/ProS class, far below the recurrent (OmniAnomaly/MSCRED) and
 attention (DCdetector/AnomalyTransformer/TranAD) baselines; JumpStarter's
 *inference* is disproportionately slow.
+
+MACE runs in float64 here, like every baseline (``BaselineConfig`` has no
+precision knob), so the comparison is like for like; its float32 default
+is faster still (EXPERIMENTS.md).
 """
 
 import time
@@ -34,7 +38,8 @@ def compute():
 
     profiles = {}
     for method in METHODS + ("MACE",):
-        factory = mace_factory() if method == "MACE" else baseline_factory(method)
+        factory = (mace_factory(dtype="float64") if method == "MACE"
+                   else baseline_factory(method))
         detector = factory()
         fit_profile = profile_call(detector.fit, ids, trains)
         started = time.perf_counter()

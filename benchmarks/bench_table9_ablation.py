@@ -9,8 +9,7 @@ Variants (matching the paper's rows):
 * Pattern extraction → vanilla DFT/IDFT *and* no characterization markers.
 
 The MACE row is Table V's MACE run (same detector, groups and protocol),
-so running this bench also refreshes the MACE rows of ``table5.json``
-(``update_mace_rows``); Table V's baselines keep their committed rows.
+so it matches the MACE rows ``bench_table5_unified`` writes.
 """
 
 from common import (
@@ -21,7 +20,6 @@ from common import (
     run_once,
     save_results,
     scale_params,
-    update_mace_rows,
 )
 from repro.data import unified_groups
 from repro.eval import format_table, run_unified
@@ -70,8 +68,6 @@ def test_table9_ablation(benchmark):
         ))
         print()
     save_results("table9", {"measured": measured, "paper": PAPER_TABLE9_F1})
-    update_mace_rows("table5", {name: per_variant["MACE"]
-                                for name, per_variant in results.items()})
 
     # Shape: the full model is at least as good as (almost) every ablation
     # on the diverse dataset, and the pattern-extraction ablation hurts most

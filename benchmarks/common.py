@@ -11,6 +11,12 @@ environment variable:
 
 Measured numbers are also appended to ``benchmarks/results/<name>.json`` so
 EXPERIMENTS.md can be refreshed from actual runs.
+
+Every bench and ``quality.py`` import this module before NumPy, which pins
+one BLAS thread: OpenBLAS splits some large products across threads, which
+changes their rounding and, on the full-spectrum Table IX variants, the F1.
+So the committed tables and the ``make quality`` gate that compares against
+them are made under the same setting.
 """
 
 from __future__ import annotations
@@ -21,7 +27,11 @@ import os
 from pathlib import Path
 from typing import Callable, Dict, List, Sequence
 
-import numpy as np
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                  "MKL_NUM_THREADS"):
+    os.environ[_variable] = "1"
+
+import numpy as np  # noqa: E402  (after the BLAS thread pin)
 
 from repro.baselines import (
     ALL_BASELINES,
@@ -153,19 +163,6 @@ def save_results(name: str, payload: Dict) -> Path:
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"{name}.json"
     payload = {"scale": SCALE, **payload}
-    path.write_text(json.dumps(payload, indent=2, default=float))
-    return path
-
-
-def update_mace_rows(name: str, outcomes: Dict) -> Path:
-    """Replace the MACE rows of ``results/<name>.json`` with ``outcomes``
-    (dataset -> protocol result), keeping every other row."""
-    path = RESULTS_DIR / f"{name}.json"
-    payload = json.loads(path.read_text())
-    for dataset_name, outcome in outcomes.items():
-        payload["measured"][dataset_name]["MACE"] = {
-            "precision": outcome.precision, "recall": outcome.recall,
-            "f1": outcome.f1}
     path.write_text(json.dumps(payload, indent=2, default=float))
     return path
 

@@ -19,25 +19,19 @@ low on j-d2 and smap, and removing the time amplifier raises F1.
     python benchmarks/quality.py --table9 old.json --tolerance 0.01
 
 Exit status 0 when every check passes, 1 otherwise.  Writes no file.
-Runs with one BLAS thread; regenerate the tables the same way:
-``OPENBLAS_NUM_THREADS=1 python -m pytest benchmarks/bench_table9_ablation.py``.
+Like every bench it runs with one BLAS thread (``common`` pins it), so
+``python -m pytest benchmarks/bench_table9_ablation.py`` regenerates a
+``table9.json`` this gate reproduces bitwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
-# One BLAS thread, as the committed tables were made: OpenBLAS splits some
-# large products across threads, which changes their rounding and, on the
-# full-spectrum variants, the F1.  Set before NumPy loads.
-for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                  "MKL_NUM_THREADS"):
-    os.environ[_variable] = "1"
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_table9_ablation import compute_table  # noqa: E402
@@ -82,14 +76,13 @@ def main(argv=None) -> int:
                              "(default: bitwise equality)")
     parser.add_argument("--table9", type=Path,
                         default=RESULTS_DIR / "table9.json")
-    parser.add_argument("--table5", type=Path,
-                        default=RESULTS_DIR / "table5.json")
     args = parser.parse_args(argv)
     if SCALE != "small":
         parser.error("the committed tables are at the small bench scale; "
                      "unset REPRO_BENCH_SCALE")
     table9 = json.loads(args.table9.read_text())["measured"]
-    table5 = json.loads(args.table5.read_text())["measured"]
+    table5_path = RESULTS_DIR / "table5.json"
+    table5 = json.loads(table5_path.read_text())["measured"]
 
     started = time.perf_counter()
     results = compute_table(DATASETS)

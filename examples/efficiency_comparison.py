@@ -3,7 +3,8 @@
 Reproduces the Fig. 6(a) methodology at example scale: all methods run on
 the same NumPy substrate and the same workload, so the *relative* costs are
 meaningful — frequency-domain MACE vs a recurrent model (OmniAnomaly), an
-attention model (TranAD) and the cheap VAE yardstick.
+attention model (TranAD) and the cheap VAE yardstick.  MACE runs in
+float64 here, the baselines' precision, so the comparison is like for like.
 
 Run:  python examples/efficiency_comparison.py
 """
@@ -30,7 +31,7 @@ def main() -> None:
 
     config = BaselineConfig(epochs=3)
     detectors = {
-        "MACE": MaceDetector(MaceConfig(epochs=3)),
+        "MACE": MaceDetector(MaceConfig(epochs=3, dtype="float64")),
         "VAE": VaeDetector(config),
         "OmniAnomaly (recurrent)": OmniAnomalyDetector(config),
         "TranAD (attention)": TranAdDetector(config),
