@@ -15,10 +15,11 @@ import numpy as np
 
 from repro.analysis.spec import TensorSpec, child_contract
 from repro.frequency.context_aware import ServiceSubspace
+from repro.nn import functional as F
 from repro.nn.modules.activations import Tanh
 from repro.nn.modules.base import Module
 from repro.nn.modules.conv import Conv1d
-from repro.nn.tensor import Tensor, stack
+from repro.nn.tensor import Tensor, concatenate
 
 __all__ = ["frequency_marker_channels", "FrequencyCharacterization"]
 
@@ -71,6 +72,15 @@ class FrequencyCharacterization(Module):
                 .astype(self.conv.weight.dtype)
         return self._marker_cache[key]
 
+    def _marker_rows(self, subspace: ServiceSubspace, n: int) -> tuple:
+        """The sine and cosine marker channels tiled over a batch of ``n``
+        windows: two ``(N*m, 1, 2k)`` arrays."""
+        markers = self._markers(subspace)  # (2, m, 2k)
+        _, m, width = markers.shape
+        tiled = np.broadcast_to(markers[:, None], (2, n, m, width))
+        tiled = tiled.reshape(2, n * m, width)
+        return tiled[0][:, None, :], tiled[1][:, None, :]
+
     def contract(self, spec: TensorSpec) -> TensorSpec:
         """``(N, m, 2k) -> (N*m, channels, 2k)`` representation."""
         spec.require_ndim(3, "FrequencyCharacterization")
@@ -83,13 +93,20 @@ class FrequencyCharacterization(Module):
         n, m, width = coeffs.shape
         flat = coeffs.reshape(n * m, 1, width)
         if self.use_markers:
-            markers = self._markers(subspace)  # (2, m, 2k)
-            tiled = np.broadcast_to(markers[:, None], (2, n, m, width))
-            tiled = tiled.reshape(2, n * m, width)
-            channels = [flat]
-            channels.append(Tensor(tiled[0][:, None, :]))
-            channels.append(Tensor(tiled[1][:, None, :]))
-            from repro.nn.tensor import concatenate
-
-            flat = concatenate(channels, axis=1)  # (N*m, 3, 2k)
+            sines, cosines = self._marker_rows(subspace, n)
+            flat = concatenate([flat, Tensor(sines), Tensor(cosines)],
+                               axis=1)  # (N*m, 3, 2k)
         return self.activation(self.conv(flat))
+
+    def forward_array(self, coeffs: np.ndarray,
+                      subspace: ServiceSubspace) -> np.ndarray:
+        """:meth:`forward` on a plain array, without a tape (bitwise equal)."""
+        n, m, width = coeffs.shape
+        flat = coeffs.reshape(n * m, 1, width)
+        if self.use_markers:
+            flat = np.concatenate([flat, *self._marker_rows(subspace, n)],
+                                  axis=1)
+        conv = self.conv
+        out, _ = F.conv1d_array(flat, conv.weight.data, conv.bias.data,
+                                stride=conv.stride, padding=conv.padding)
+        return np.tanh(out, out=out)

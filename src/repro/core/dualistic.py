@@ -26,7 +26,15 @@ from repro.analysis.spec import ContractError, TensorSpec, child_contract, merge
 from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.modules.base import Module
-from repro.nn.tensor import Parameter, Tensor, odd_power, odd_root
+from repro.nn.tensor import (
+    Parameter,
+    Tensor,
+    clip_array,
+    odd_power,
+    odd_power_array,
+    odd_root,
+    odd_root_array,
+)
 
 __all__ = [
     "dualistic_conv_numpy",
@@ -135,14 +143,33 @@ class DualisticConv1d(Module):
             return self.weight.abs()
         return Tensor(self.fixed_weight)
 
+    @staticmethod
+    def _directions(data: np.ndarray) -> np.ndarray:
+        """The sign the literal valley keeps: -1 below zero, +1 elsewhere.
+
+        Zeros take +1: scaling by sign(0) = 0 would hand odd_power a zero,
+        whose negative power is infinite.
+        """
+        return np.where(data < 0, -1.0, 1.0).astype(data.dtype)
+
+    def _shift_correction(self, kernel: np.ndarray) -> np.ndarray:
+        """``(1, C_out, 1)`` offset that removes the shift after the root.
+
+        The kernel mass and σ scale (x + c) multiplicatively before the
+        root, so the shift must be removed at the same scale:
+        root ≈ (max(x) + c) * (mass/σ)^{1/γ}.  A plain "- c" would leave a
+        large DC offset on the output (fatal ahead of the DFT).
+        """
+        mass = np.abs(kernel).sum(axis=(1, 2))  # per out-channel
+        correction = self.shift * (mass / self.sigma) ** (1.0 / float(self.gamma))
+        return correction[None, :, None]
+
     def forward(self, x: Tensor) -> Tensor:
         gamma = float(self.gamma)
         if self.mode == "valley" and self.valley_mode == "negative_gamma":
             # Literal γ < −1: power the ε-clamped magnitude to −γ, keep sign.
-            # Zeros clamp to +ε; scaling by sign(0) = 0 would hand odd_power
-            # a zero, whose negative power is infinite.
-            direction = Tensor(np.where(x.data < 0, -1.0, 1.0).astype(x.dtype))
-            clamped = x.abs().clip(self.eps, np.inf) * direction
+            clamped = x.abs().clip(self.eps, np.inf) \
+                * Tensor(self._directions(x.data))
             powered = odd_power(clamped, -gamma) * (1.0 / self.sigma)
             conv = F.conv1d(powered, self._kernel(), stride=self.stride,
                             padding=self.padding)
@@ -157,14 +184,38 @@ class DualisticConv1d(Module):
                         padding=self.padding)
         root = odd_root(conv, gamma)
         if self.shift:
-            # The kernel mass and σ scale (x + c) multiplicatively before the
-            # root, so the shift must be removed at the same scale:
-            # root ≈ (max(x) + c) * (mass/σ)^{1/γ}.  A plain "- c" would leave
-            # a large DC offset on the output (fatal ahead of the DFT).
-            mass = np.abs(kernel.data).sum(axis=(1, 2))  # per out-channel
-            correction = self.shift * (mass / self.sigma) ** (1.0 / gamma)
-            root = root - Tensor(correction[None, :, None])
+            root = root - Tensor(self._shift_correction(kernel.data))
         return root * -1.0 if negate else root
+
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on a plain array, without a tape.
+
+        The same kernels in the same order and memory layouts, so the
+        result is bitwise equal to ``forward(Tensor(x)).data``.  Each step
+        rebinds ``y`` and scales it in place, so a batch-sized
+        intermediate is freed as soon as the next one exists.
+        """
+        gamma = float(self.gamma)
+        kernel = np.abs(self.weight.data) if self.learnable else self.fixed_weight
+        literal = self.mode == "valley" and self.valley_mode == "negative_gamma"
+        negate = self.mode == "valley" and not literal
+        if literal:
+            y = clip_array(np.abs(x), self.eps, np.inf) * self._directions(x)
+            gamma = -gamma
+        else:
+            y = (x * -1.0 if negate else x) + self.shift
+        y = odd_power_array(y, gamma)
+        y *= 1.0 / self.sigma
+        y, _ = F.conv1d_array(y, kernel, stride=self.stride,
+                              padding=self.padding)
+        y = odd_root_array(y, gamma)
+        if literal:
+            return y
+        if self.shift:
+            y -= self._shift_correction(kernel)
+        if negate:
+            y *= -1.0
+        return y
 
     def contract(self, spec: TensorSpec) -> TensorSpec:
         spec.require_ndim(3, "DualisticConv1d")
@@ -274,6 +325,16 @@ class TimeDomainAmplifier(Module):
         bound = self.overflow_bound(x.dtype)
         amplified = self.peak(flat.clip(-bound, bound))
         amplified = amplified.reshape(n, m, t).swapaxes(1, 2)
+        if self.blend >= 1.0:
+            return amplified
+        return x * (1.0 - self.blend) + amplified * self.blend
+
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on a plain array, without a tape (bitwise equal)."""
+        n, t, m = x.shape
+        bound = self.overflow_bound(x.dtype)
+        flat = clip_array(x.swapaxes(1, 2).reshape(n * m, 1, t), -bound, bound)
+        amplified = self.peak.forward_array(flat).reshape(n, m, t).swapaxes(1, 2)
         if self.blend >= 1.0:
             return amplified
         return x * (1.0 - self.blend) + amplified * self.blend

@@ -28,7 +28,7 @@ from repro.nn import functional as F
 from repro.nn.modules.activations import LeakyReLU
 from repro.nn.modules.base import Module
 from repro.nn.modules.conv import Conv1d, ConvTranspose1d
-from repro.nn.tensor import Tensor, maximum, pad1d
+from repro.nn.tensor import Tensor, maximum, pad1d, pad1d_array
 
 __all__ = ["MaceConfig", "MaceOutput", "MaceModel"]
 
@@ -133,8 +133,7 @@ class _Branch(Module):
             raise ContractError(
                 f"_Branch requires a concrete spectrum width, got {width}"
             )
-        remainder = width.value % self.kernel
-        padded_width = width.value + (self.kernel - remainder if remainder else 0)
+        padded_width = width.value + self._padding(width.value)
         padded = spec.with_shape(spec.shape[:-1] + (padded_width,))
         latent = child_contract("encoder", self.encoder, padded)
         decoded = child_contract(
@@ -150,16 +149,41 @@ class _Branch(Module):
             )
         return spectrum.with_shape((spec.shape[0], width))
 
+    def _padding(self, width: int) -> int:
+        """Zeros appended to a spectrum of ``width`` so the stride-``kernel``
+        encoder tiles it (the full spectrum's 42 slots take 3)."""
+        remainder = width % self.kernel
+        return self.kernel - remainder if remainder else 0
+
     def forward(self, representation: Tensor, width: int) -> Tensor:
         """``(N*m, C, 2k) -> (N*m, 2k)`` reconstructed spectrum."""
-        remainder = representation.shape[-1] % self.kernel
+        padding = self._padding(representation.shape[-1])
         padded = representation
-        if remainder:
-            padded = pad1d(representation, 0, self.kernel - remainder)
+        if padding:
+            padded = pad1d(representation, 0, padding)
         latent = self.encoder(padded)
         decoded = self.activation(self.decoder(latent))
         spectrum = self.head(decoded)  # (N*m, 1, padded_width)
         return spectrum[:, 0, :width]
+
+    def forward_array(self, representation: np.ndarray,
+                      width: int) -> np.ndarray:
+        """:meth:`forward` on a plain array, without a tape (bitwise equal)."""
+        padding = self._padding(representation.shape[-1])
+        y = representation
+        if padding:
+            y = pad1d_array(y, 0, padding)
+        # Rebinding ``y`` frees each intermediate once the next exists.
+        y = self.encoder.forward_array(y)
+        decoder, head = self.decoder, self.head
+        y, _ = F.conv_transpose1d_array(y, decoder.weight.data,
+                                        decoder.bias.data,
+                                        stride=decoder.stride,
+                                        padding=decoder.padding)
+        y = F.leaky_relu_array(y, self.activation.negative_slope)
+        y, _ = F.conv1d_array(y, head.weight.data, head.bias.data,
+                              stride=head.stride, padding=head.padding)
+        return y[:, 0, :width]
 
 
 class MaceModel(Module):
@@ -239,6 +263,37 @@ class MaceModel(Module):
             spectrum = branch(representation, width).reshape(n, m, width)
             reconstructions.append(idft(spectrum))  # (N, T, m)
         return MaceOutput(amplified, reconstructions[0], reconstructions[1])
+
+    def score_windows(self, windows: np.ndarray, extractor: PatternExtractor,
+                      service_id: str) -> np.ndarray:
+        """:meth:`forward` then :meth:`timestep_errors`, on plain arrays.
+
+        Scoring never calls ``backward``, so it builds no ``Tensor`` and
+        no tape.  Every stage runs its module's ``forward_array``, which
+        calls the kernels the taped ops call, in the same order and memory
+        layouts, so the ``(N, T)`` errors are bitwise equal to the taped
+        path's at every batch size (``tests/core/test_tape_free.py``).
+        """
+        if windows.ndim != 3:
+            raise ValueError("windows must be (N, T, m)")
+        if windows.dtype != self.dtype:
+            windows = windows.astype(self.dtype)
+        amplified = (self.amplifier.forward_array(windows)
+                     if self.config.use_time_amplifier else windows)
+        dft, idft = extractor.transforms(service_id, self.dtype)
+        coeffs = dft.forward_array(amplified)  # (N, m, 2k)
+        n, m, width = coeffs.shape
+        representation = self.characterization.forward_array(
+            coeffs, extractor.subspace(service_id))  # (N*m, C, 2k)
+        errors = []
+        for branch in (self.peak_branch, self.valley_branch):
+            spectrum = branch.forward_array(representation, width)
+            diff = idft.forward_array(spectrum.reshape(n, m, width)) - amplified
+            # Tensor.mean's sum times the reciprocal count.
+            errors.append((diff * diff).sum(axis=-1) * (1.0 / diff.shape[-1]))
+        if self.config.select_max_error:
+            return np.maximum(errors[0], errors[1])
+        return 0.5 * (errors[0] + errors[1])
 
     def loss(self, output: MaceOutput) -> Tensor:
         """Stage-4 objective: mean of the per-slot max-branch error."""

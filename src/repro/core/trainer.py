@@ -11,7 +11,6 @@ import numpy as np
 from repro.core.model import MaceConfig, MaceModel
 from repro.core.pattern_extraction import PatternExtractor
 from repro.data.windows import WindowDataset
-from repro.nn import no_grad
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import Tensor
 from repro.obs.events import emit
@@ -210,18 +209,22 @@ class MaceTrainer:
 
     def window_errors(self, service_id: str, windows: np.ndarray,
                       batch_size: int = 256) -> np.ndarray:
-        """Per-window, per-timestep errors ``(W, T)`` with gradients off."""
+        """Per-window, per-timestep errors ``(W, T)``.
+
+        Scoring never calls ``backward``, so it runs the model's tape-free
+        forward (:meth:`MaceModel.score_windows`) on plain arrays.
+        """
         if service_id not in self.extractor:
             raise KeyError(
                 f"service {service_id!r} has no fitted subspace; call "
                 "fit() or prepare_service() first"
             )
-        # Cast once here rather than per chunk in the model's forward.
-        windows = np.asarray(windows, dtype=self.model.dtype)
-        pieces = []
-        with no_grad():
-            for start in range(0, windows.shape[0], batch_size):
-                chunk = windows[start:start + batch_size]
-                output = self.model(Tensor(chunk), self.extractor, service_id)
-                pieces.append(self.model.timestep_errors(output))
+        # ``score_windows`` casts each chunk to the model's dtype, so no
+        # cast copy of the whole array is ever held.
+        windows = np.asarray(windows)
+        pieces = [
+            self.model.score_windows(windows[start:start + batch_size],
+                                     self.extractor, service_id)
+            for start in range(0, windows.shape[0], batch_size)
+        ]
         return np.concatenate(pieces, axis=0)

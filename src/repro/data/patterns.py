@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import List, Sequence
 
 import numpy as np
-from scipy import signal as sp_signal
 
 __all__ = [
     "Waveform",
@@ -30,6 +29,33 @@ __all__ = [
     "random_pattern",
     "perturb_pattern",
 ]
+
+
+def _square(angle: np.ndarray, duty: float) -> np.ndarray:
+    """``scipy.signal.square(angle, duty)``, bit for bit, for a scalar duty.
+
+    +1 on the first ``duty`` of each ``2π`` cycle, -1 after.  Written in
+    NumPy, so generating data does not import ``scipy.signal`` (about
+    4 MB of resident memory in every process).
+    """
+    if not 0.0 <= duty <= 1.0:
+        raise ValueError(f"duty must be in [0, 1], got {duty}")
+    return np.where(np.mod(angle, 2 * np.pi) < duty * 2 * np.pi, 1.0, -1.0)
+
+
+def _sawtooth(angle: np.ndarray, width: float) -> np.ndarray:
+    """``scipy.signal.sawtooth(angle, width)``, bit for bit, for a scalar
+    width: a ramp from -1 up to 1 over the first ``width`` of each ``2π``
+    cycle and back down over the rest."""
+    if not 0.0 <= width <= 1.0:
+        raise ValueError(f"width must be in [0, 1], got {width}")
+    cycle = np.mod(angle, 2 * np.pi)
+    # Both ramps are evaluated everywhere; at width 0 or 1 the one never
+    # selected divides by zero.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(cycle < width * 2 * np.pi,
+                        cycle / (np.pi * width) - 1,
+                        (np.pi * (width + 1) - cycle) / (np.pi * (1 - width)))
 
 
 class Waveform:
@@ -58,7 +84,7 @@ class SquareWave(Waveform):
 
     def sample(self, t: np.ndarray) -> np.ndarray:
         angle = 2.0 * np.pi * t / self.period + self.phase
-        return self.amplitude * sp_signal.square(angle, duty=self.duty)
+        return self.amplitude * _square(angle, self.duty)
 
 
 @dataclass(frozen=True)
@@ -70,7 +96,7 @@ class SawtoothWave(Waveform):
 
     def sample(self, t: np.ndarray) -> np.ndarray:
         angle = 2.0 * np.pi * t / self.period + self.phase
-        return self.amplitude * sp_signal.sawtooth(angle, width=self.width)
+        return self.amplitude * _sawtooth(angle, self.width)
 
 
 @dataclass(frozen=True)

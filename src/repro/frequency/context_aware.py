@@ -179,6 +179,12 @@ class ContextAwareDFT(Module):
         out = batch @ self._weight  # (N, m, 1, 2k) via batch broadcast
         return out.reshape(n, m, out.shape[-1])
 
+    def forward_array(self, windows: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on a plain array, without a tape (bitwise equal)."""
+        n, t, m = windows.shape
+        out = windows.swapaxes(1, 2).reshape(n, m, 1, t) @ self._weight.data
+        return out.reshape(n, m, out.shape[-1])
+
     def contract(self, spec: TensorSpec) -> TensorSpec:
         spec.require_ndim(3, "ContextAwareDFT")
         spec.require_axis(1, self.subspace.window, "ContextAwareDFT", "window")
@@ -211,6 +217,12 @@ class ContextAwareIDFT(Module):
     def forward(self, coeffs: Tensor) -> Tensor:
         n, m, c = coeffs.shape
         batch = coeffs.reshape(n, m, 1, c) @ self._weight  # (N, m, 1, T)
+        return batch.reshape(n, m, batch.shape[-1]).swapaxes(1, 2)
+
+    def forward_array(self, coeffs: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on a plain array, without a tape (bitwise equal)."""
+        n, m, c = coeffs.shape
+        batch = coeffs.reshape(n, m, 1, c) @ self._weight.data
         return batch.reshape(n, m, batch.shape[-1]).swapaxes(1, 2)
 
     def contract(self, spec: TensorSpec) -> TensorSpec:

@@ -39,13 +39,16 @@ from repro.nn.tensor import Tensor, concatenate, maximum, where
 
 __all__ = [
     "conv1d",
+    "conv1d_array",
     "conv_transpose1d",
+    "conv_transpose1d_array",
     "avg_pool1d",
     "max_pool1d",
     "linear",
     "relu",
     "gelu",
     "leaky_relu",
+    "leaky_relu_array",
     "softplus",
     "softmax",
     "log_softmax",
@@ -142,6 +145,30 @@ def _overlap_add(cols: np.ndarray, length: int, stride: int) -> np.ndarray:
     return out
 
 
+def conv1d_array(x: np.ndarray, weight: np.ndarray,
+                 bias: np.ndarray | None = None, stride: int = 1,
+                 padding: int = 0) -> tuple:
+    """Forward of :func:`conv1d` on arrays: ``(out, cols)``.
+
+    ``cols`` is the ``(C_in*K, N*L_out)`` im2col matrix, which the weight
+    gradient reuses.
+    """
+    if x.ndim != 3 or weight.ndim != 3:
+        raise ValueError("conv1d expects x:(N,C,L) and weight:(O,C,K)")
+    n, c_in, _ = x.shape
+    c_out, _, kernel = weight.shape
+    windows = _windows(_pad(x, padding), kernel, stride)  # (N, C, L_out, K)
+    out_length = windows.shape[2]
+    cols = _matrix(windows.transpose(1, 3, 0, 2), c_in * kernel, n * out_length)
+    out = _product(_matrix(weight, c_out, c_in * kernel), cols) \
+        .reshape(c_out, n, out_length).transpose(1, 0, 2)
+    if bias is not None:
+        # In place: the product is a fresh array, and ``out + bias`` would
+        # allocate one in this same memory order.
+        out += bias[None, :, None]
+    return out, cols
+
+
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """1-D cross-correlation.
@@ -158,27 +185,21 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         Usual convolution hyperparameters (symmetric zero padding).
 
     With ``cols`` the ``(C_in*K, N*L_out)`` im2col matrix, the forward pass
-    is ``W(C_out, C_in*K) @ cols``, the weight gradient
-    ``cols @ grad(N*L_out, C_out)`` and the window gradient
+    (:func:`conv1d_array`) is ``W(C_out, C_in*K) @ cols``, the weight
+    gradient ``cols @ grad(N*L_out, C_out)`` and the window gradient
     ``W(C_in*K, C_out) @ grad(C_out, N*L_out)``: the products, operand
     order and layouts of ``einsum(..., optimize=True)`` (module docstring).
     """
-    if x.ndim != 3 or weight.ndim != 3:
-        raise ValueError("conv1d expects x:(N,C,L) and weight:(O,C,K)")
+    # The backward closure keeps ``cols`` for the weight gradient; under
+    # ``no_grad`` the closure, and with it ``cols``, is dropped as soon as
+    # the op returns.
+    out, cols = conv1d_array(x.data, weight.data,
+                             None if bias is None else bias.data,
+                             stride, padding)
     n, c_in, _ = x.shape
     c_out, _, kernel = weight.shape
-    padded = _pad(x.data, padding)
-    length = padded.shape[-1]
-    windows = _windows(padded, kernel, stride)  # (N, C, L_out, K)
-    out_length = windows.shape[2]
-    # The backward closure keeps this im2col matrix for the weight
-    # gradient; under ``no_grad`` the closure, and with it ``cols``, is
-    # dropped as soon as the op returns.
-    cols = _matrix(windows.transpose(1, 3, 0, 2), c_in * kernel, n * out_length)
-    out = _product(_matrix(weight.data, c_out, c_in * kernel), cols) \
-        .reshape(c_out, n, out_length).transpose(1, 0, 2)
-    if bias is not None:
-        out = out + bias.data[None, :, None]
+    length = x.shape[-1] + 2 * padding
+    out_length = out.shape[-1]
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -204,7 +225,31 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                            attrs={"stride": int(stride),
                                   "padding": int(padding),
                                   "kernel": int(kernel),
-                                  "in_channels": int(x.shape[1])})
+                                  "in_channels": int(c_in)})
+
+
+def conv_transpose1d_array(x: np.ndarray, weight: np.ndarray,
+                           bias: np.ndarray | None = None, stride: int = 1,
+                           padding: int = 0) -> tuple:
+    """Forward of :func:`conv_transpose1d` on arrays: ``(out, x_rows)``.
+
+    ``x_rows`` is the ``(C_in, N*L)`` input matrix, which the weight
+    gradient reuses.
+    """
+    if x.ndim != 3 or weight.ndim != 3:
+        raise ValueError("conv_transpose1d expects x:(N,C,L) and weight:(C,O,K)")
+    n, c_in, length = x.shape
+    _, c_out, kernel = weight.shape
+    full_length = (length - 1) * stride + kernel
+    x_rows = _matrix(x.transpose(1, 0, 2), c_in, n * length)
+    contrib = _product(_matrix(weight.transpose(1, 2, 0), c_out * kernel, c_in),
+                       x_rows)
+    contrib = contrib.reshape(c_out, kernel, n, length).transpose(2, 0, 3, 1)
+    out_full = _overlap_add(contrib, full_length, stride)  # (N, O, L_full)
+    out = out_full[..., padding:full_length - padding] if padding else out_full
+    if bias is not None:
+        out += bias[None, :, None]  # in place: ``out_full`` is fresh
+    return out, x_rows
 
 
 def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -215,27 +260,19 @@ def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     ``(C_in, C_out, K)`` (PyTorch layout), output length is
     ``(L - 1) * stride + K - 2 * padding``.
 
-    The per-window contributions are ``W(C_out*K, C_in) @ x(C_in, N*L)``,
-    overlap-added at stride ``stride``.  With ``gw`` the windows of the
-    (re-padded) output gradient, the input gradient is
-    ``W(C_in, C_out*K) @ gw(C_out*K, N*L)`` and the weight gradient
-    ``x(C_in, N*L) @ gw(N*L, C_out*K)``: einsum's operand order and
-    layouts again (module docstring).
+    The per-window contributions (:func:`conv_transpose1d_array`) are
+    ``W(C_out*K, C_in) @ x(C_in, N*L)``, overlap-added at stride
+    ``stride``.  With ``gw`` the windows of the (re-padded) output
+    gradient, the input gradient is ``W(C_in, C_out*K) @ gw(C_out*K, N*L)``
+    and the weight gradient ``x(C_in, N*L) @ gw(N*L, C_out*K)``: einsum's
+    operand order and layouts again (module docstring).
     """
-    if x.ndim != 3 or weight.ndim != 3:
-        raise ValueError("conv_transpose1d expects x:(N,C,L) and weight:(C,O,K)")
+    # ``x_rows`` is kept by the backward closure (see conv1d).
+    out, x_rows = conv_transpose1d_array(x.data, weight.data,
+                                         None if bias is None else bias.data,
+                                         stride, padding)
     n, c_in, length = x.shape
     _, c_out, kernel = weight.shape
-    full_length = (length - 1) * stride + kernel
-    # Kept by the backward closure for the weight gradient (see conv1d).
-    x_rows = _matrix(x.data.transpose(1, 0, 2), c_in, n * length)
-    contrib = _product(_matrix(weight.data.transpose(1, 2, 0), c_out * kernel, c_in),
-                       x_rows)
-    contrib = contrib.reshape(c_out, kernel, n, length).transpose(2, 0, 3, 1)
-    out_full = _overlap_add(contrib, full_length, stride)  # (N, O, L_full)
-    out = out_full[..., padding:full_length - padding] if padding else out_full
-    if bias is not None:
-        out = out + bias.data[None, :, None]
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -319,6 +356,17 @@ def relu(x: Tensor) -> Tensor:
     return x.relu()
 
 
+def leaky_relu_array(x: np.ndarray, negative_slope: float = 0.01) -> np.ndarray:
+    """Forward of :func:`leaky_relu` on an array.
+
+    ``x * negative_slope`` with ``x`` copied in where positive: the values
+    of ``np.where(x > 0, x, x * negative_slope)``, one array fewer.
+    """
+    out = x * negative_slope
+    np.copyto(out, x, where=x > 0)
+    return out
+
+
 def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
     """``x`` where positive, ``negative_slope * x`` elsewhere: one tape node.
 
@@ -329,14 +377,12 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
     zero (and where ``grad`` is infinite, the composite's ``inf * 0``
     gave NaN).
     """
-    cond = x.data > 0
-    data = np.where(cond, x.data, x.data * negative_slope)
-
     def backward(grad):
         if x.requires_grad:
-            x._accumulate(np.where(cond, grad, grad * negative_slope))
+            x._accumulate(np.where(x.data > 0, grad, grad * negative_slope))
 
-    return Tensor._from_op(data, (x,), backward, "leaky_relu",
+    return Tensor._from_op(leaky_relu_array(x.data, negative_slope), (x,),
+                           backward, "leaky_relu",
                            attrs={"negative_slope": float(negative_slope)})
 
 

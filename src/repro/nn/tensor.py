@@ -12,6 +12,8 @@ in ``tests/nn/test_gradcheck.py``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.nn.autograd import _OP_HOOKS, is_grad_enabled, topological_order
@@ -29,9 +31,13 @@ __all__ = [
     "where",
     "maximum",
     "minimum",
+    "clip_array",
     "odd_power",
+    "odd_power_array",
     "odd_root",
+    "odd_root_array",
     "pad1d",
+    "pad1d_array",
 ]
 
 _DEFAULT_DTYPE = np.float64
@@ -510,8 +516,7 @@ class Tensor:
         return Tensor._from_op(data, (self,), backward, "relu")
 
     def clip(self, low: float, high: float) -> "Tensor":
-        # ``np.clip``'s values, without its per-call wrapper overhead.
-        data = np.minimum(np.maximum(self.data, low), high)
+        data = clip_array(self.data, low, high)
 
         def backward(grad):
             if self.requires_grad:
@@ -545,8 +550,8 @@ class Tensor:
                                attrs={"axis": axis, "keepdims": bool(keepdims)})
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.data.size if axis is None else np.prod(
-            [self.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
+        count = self.data.size if axis is None else math.prod(
+            self.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))
         )
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
 
@@ -602,11 +607,10 @@ class Tensor:
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
         data = self.data.transpose(axes)
-        inverse = np.argsort(axes)
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad.transpose(inverse))
+                self._accumulate(grad.transpose(np.argsort(axes)))
 
         return Tensor._from_op(data, (self,), backward, "transpose",
                                attrs={"axes": tuple(int(a) for a in axes)})
@@ -756,57 +760,82 @@ def minimum(a, b) -> Tensor:
     return where(take_a, a, b, _op="minimum")
 
 
+def clip_array(x: np.ndarray, low: float, high: float) -> np.ndarray:
+    """``np.clip``'s values, without its per-call wrapper overhead."""
+    return np.minimum(np.maximum(x, low), high)
+
+
+def odd_power_array(x: np.ndarray, gamma: float) -> np.ndarray:
+    """Sign-preserving power ``sign(x) * |x|**gamma`` of an array.
+
+    The sign is copied onto the magnitude (``np.copysign``) rather than
+    multiplied in, which saves a full-array pass.  That is bitwise equal
+    to ``np.sign(x) * |x|**gamma`` except at zero: ``-0.0`` keeps its
+    sign, and ``±0`` with a negative ``gamma`` gives ``±inf`` instead of
+    ``0 * inf``.  The power is taken in place (``**=`` keeps ``**``'s
+    fast scalar-power paths), so only one array is allocated.
+    """
+    power = np.abs(x)
+    power **= gamma
+    return np.copysign(power, x, out=power)
+
+
+def odd_root_array(x: np.ndarray, gamma: float) -> np.ndarray:
+    """Sign-preserving ``gamma``-th root of an array, inverse of
+    :func:`odd_power_array`, with the same two exceptions at zero."""
+    root = np.abs(x)
+    root **= 1.0 / gamma
+    return np.copysign(root, x, out=root)
+
+
 def odd_power(x, gamma: float) -> Tensor:
-    """Sign-preserving power ``sign(x) * |x|**gamma``.
+    """Sign-preserving power ``sign(x) * |x|**gamma`` (:func:`odd_power_array`).
 
     For odd integer ``gamma`` this equals ``x**gamma`` but stays real-valued
     for any positive ``gamma``, which is what the dualistic convolution
     (paper Eq. 2) requires.  The derivative is ``gamma * |x|**(gamma-1)``.
-
-    The sign is copied onto the magnitude (``np.copysign``) rather than
-    multiplied in, which saves a full-array pass.  That is bitwise equal to
-    ``np.sign(x) * |x|**gamma`` except at zero: ``-0.0`` keeps its sign, and
-    ``±0`` with a negative ``gamma`` gives ``±inf`` instead of ``0 * inf``.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
-    magnitude = np.abs(x.data)
-    data = np.copysign(magnitude**gamma, x.data)
 
     def backward(grad):
         if x.requires_grad:
-            x._accumulate(grad * gamma * magnitude ** (gamma - 1))
+            x._accumulate(grad * gamma * np.abs(x.data) ** (gamma - 1))
 
-    return Tensor._from_op(data, (x,), backward, "odd_power",
-                           attrs={"gamma": float(gamma)})
+    return Tensor._from_op(odd_power_array(x.data, gamma), (x,), backward,
+                           "odd_power", attrs={"gamma": float(gamma)})
 
 
 def odd_root(x, gamma: float, eps: float = 1e-8) -> Tensor:
-    """Sign-preserving ``gamma``-th root, inverse of :func:`odd_power`.
+    """Sign-preserving ``gamma``-th root (:func:`odd_root_array`).
 
     The true derivative diverges at 0; ``eps`` clamps the magnitude in the
     backward pass to keep training numerically stable (documented deviation,
-    standard practice for fractional-power activations).  The forward
-    copies the sign like :func:`odd_power`, with the same two exceptions.
+    standard practice for fractional-power activations).
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
-    magnitude = np.abs(x.data)
-    data = np.copysign(magnitude ** (1.0 / gamma), x.data)
 
     def backward(grad):
         if x.requires_grad:
-            safe = np.maximum(magnitude, eps)
+            safe = np.maximum(np.abs(x.data), eps)
             x._accumulate(grad * (1.0 / gamma) * safe ** (1.0 / gamma - 1.0))
 
-    return Tensor._from_op(data, (x,), backward, "odd_root",
+    return Tensor._from_op(odd_root_array(x.data, gamma), (x,), backward,
+                           "odd_root",
                            attrs={"gamma": float(gamma), "eps": float(eps)})
 
 
-def pad1d(x: Tensor, left: int, right: int, value: float = 0.0) -> Tensor:
-    """Pad the last axis of ``x`` with ``value`` (constant padding)."""
+def pad1d_array(x: np.ndarray, left: int, right: int,
+                value: float = 0.0) -> np.ndarray:
+    """Pad the last axis of an array with ``value`` (constant padding)."""
     if left < 0 or right < 0:
         raise ValueError("padding must be non-negative")
     widths = [(0, 0)] * (x.ndim - 1) + [(left, right)]
-    data = np.pad(x.data, widths, constant_values=value)
+    return np.pad(x, widths, constant_values=value)
+
+
+def pad1d(x: Tensor, left: int, right: int, value: float = 0.0) -> Tensor:
+    """Pad the last axis of ``x`` with ``value`` (:func:`pad1d_array`)."""
+    data = pad1d_array(x.data, left, right, value)
     length = x.shape[-1]
 
     def backward(grad):

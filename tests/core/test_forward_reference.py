@@ -15,7 +15,9 @@ Five pieces changed without changing any result:
 
 The replaced implementations are kept below, verbatim, as the reference.
 A seeded MACE fit, score and stream run must match them bit for bit
-(``tobytes()``).  Per op, so must outputs and gradients, except where
+(``tobytes()``).  The reference run scores through the taped forward
+(``taped_window_errors``), the only path that calls the patched ops; the
+run under test scores through the tape-free path.  Per op, so must outputs and gradients, except where
 ``odd_power``/``odd_root`` document a difference: at ``-0.0``, and at
 ``±0`` with a negative power.
 """
@@ -27,6 +29,7 @@ from repro.core import (
     DualisticConv1d,
     MaceConfig,
     MaceDetector,
+    MaceTrainer,
     StreamingDetector,
     TimeDomainAmplifier,
 )
@@ -35,6 +38,7 @@ from repro.data import scores_to_timeline, window_starts
 from repro.nn import Tensor
 from repro.nn import functional as F
 from repro.nn.tensor import odd_power, odd_root
+from tests.core.test_tape_free import taped_window_errors
 
 
 # --- reference: the replaced code, verbatim ---------------------------------
@@ -304,6 +308,7 @@ def test_mace_fit_score_stream_bitwise_equal_to_reference(tiny_dataset,
     monkeypatch.setattr(scoring, "scores_to_timeline",
                         reference_scores_to_timeline)
     monkeypatch.setattr(StreamingDetector, "observe", reference_observe)
+    monkeypatch.setattr(MaceTrainer, "window_errors", taped_window_errors)
     expected = _fit_score_stream(tiny_dataset)
     for value, ref in zip(got, expected):
         assert value == ref

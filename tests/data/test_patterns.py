@@ -14,6 +14,7 @@ from repro.data import (
     perturb_pattern,
     random_pattern,
 )
+from repro.data.patterns import _sawtooth, _square
 
 
 class TestWaveforms:
@@ -32,6 +33,26 @@ class TestWaveforms:
     def test_sawtooth_bounded(self):
         values = SawtoothWave(period=12.0, amplitude=1.0).sample(np.arange(48))
         assert values.min() >= -1.0 - 1e-9 and values.max() <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("shape", [0.0, 0.3, 0.5, 0.7, 1.0])
+    def test_waveforms_bitwise_equal_to_scipy(self, shape):
+        """The NumPy square and sawtooth keep scipy.signal's bits."""
+        from scipy import signal
+
+        angle = np.random.default_rng(0).normal(scale=20.0, size=500)
+        angle[:6] = [0.0, -0.0, 2 * np.pi, -2 * np.pi, np.inf, -1e-17]
+        with np.errstate(all="ignore"):
+            assert _square(angle, shape).tobytes() \
+                == signal.square(angle, duty=shape).tobytes()
+            assert _sawtooth(angle, shape).tobytes() \
+                == signal.sawtooth(angle, width=shape).tobytes()
+
+    @pytest.mark.parametrize("shape", [-0.1, 1.5])
+    def test_waveforms_reject_out_of_range_shape(self, shape):
+        with pytest.raises(ValueError):
+            _square(np.arange(4.0), shape)
+        with pytest.raises(ValueError):
+            _sawtooth(np.arange(4.0), shape)
 
     def test_trend_is_linear(self):
         values = Trend(slope=2.0).sample(np.arange(0, 3000, 1000, dtype=float))

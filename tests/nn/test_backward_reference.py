@@ -12,15 +12,18 @@ Three pieces of the autograd engine changed without changing any result:
 The replaced implementations are kept below, verbatim, as the reference.
 A seeded MACE fit and score must match them bit for bit (``tobytes()``);
 per op, so must outputs and gradients, except for the documented sign of
-zero in ``leaky_relu``'s gradient.
+zero in ``leaky_relu``'s gradient.  The reference run scores through the
+taped forward (``taped_window_errors``), the path that calls the patched
+``leaky_relu`` and ``getitem``.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import MaceConfig, MaceDetector
+from repro.core import MaceConfig, MaceDetector, MaceTrainer
 from repro.nn import Tensor, functional as F
 from repro.nn.tensor import where
+from tests.core.test_tape_free import taped_window_errors
 
 
 # --- reference: the replaced code, verbatim ---------------------------------
@@ -151,6 +154,7 @@ def test_mace_fit_and_score_bitwise_equal_to_reference(tiny_dataset, monkeypatch
     monkeypatch.setattr(Tensor, "_accumulate", reference_accumulate)
     monkeypatch.setattr(Tensor, "__getitem__", reference_getitem)
     monkeypatch.setattr(F, "leaky_relu", reference_leaky_relu)
+    monkeypatch.setattr(MaceTrainer, "window_errors", taped_window_errors)
     ref_history, ref_params, ref_scores = _fit_and_score(tiny_dataset)
     assert history == ref_history
     assert params == ref_params

@@ -5,7 +5,10 @@
 uses for it.  The einsum implementations they replaced are kept below,
 verbatim, as the reference.  Outputs and every gradient must match them
 bit for bit (``tobytes()``), per op over a shape grid and through a whole
-seeded float64 MACE fit.  (In float32 a one-row weight takes einsum's
+seeded float64 MACE fit and score.  The einsum run scores through the
+taped forward (``taped_window_errors``), the path that calls the patched
+ops; the run under test scores through the tape-free path, whose array
+kernels the ``F`` ops share.  (In float32 a one-row weight takes einsum's
 unplanned loop instead, for batch invariance; tests/core/test_float32.py
 covers that path.)
 """
@@ -18,6 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core import MaceConfig, MaceDetector, MaceTrainer
 from repro.nn import Tensor, functional as F
+from tests.core.test_tape_free import taped_window_errors
 
 
 # --- reference: the einsum convolutions, verbatim ---------------------------
@@ -226,6 +230,7 @@ def test_mace_fit_and_score_bitwise_equal_to_einsum(tiny_dataset, monkeypatch):
     history, params, score = _fit_and_score(tiny_dataset)
     monkeypatch.setattr(F, "conv1d", einsum_conv1d)
     monkeypatch.setattr(F, "conv_transpose1d", einsum_conv_transpose1d)
+    monkeypatch.setattr(MaceTrainer, "window_errors", taped_window_errors)
     ref_history, ref_params, ref_score = _fit_and_score(tiny_dataset)
     assert history.epoch_losses == ref_history.epoch_losses
     assert history.grad_norms == ref_history.grad_norms
