@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextvars
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -25,6 +27,9 @@ EpochHook = Callable[["MaceTrainer", Adam, int], Optional[int]]
 # ``batch_hook(epoch, batch_index, loss) -> Tensor | None``: may replace
 # the batch loss (fault injection); return None to keep it.
 BatchHook = Callable[[int, int, Tensor], Optional[Tensor]]
+# How long ``window_errors`` waits for its helper thread after its own
+# chunks are done; the helper's share is never larger than the caller's.
+_HELPER_JOIN_TIMEOUT_S = 600.0
 
 
 @dataclass
@@ -212,7 +217,11 @@ class MaceTrainer:
         """Per-window, per-timestep errors ``(W, T)``.
 
         Scoring never calls ``backward``, so it runs the model's tape-free
-        forward (:meth:`MaceModel.score_windows`) on plain arrays.
+        forward (:meth:`MaceModel.score_windows`) on plain arrays, one
+        ``batch_size`` chunk at a time.  With two or more chunks the
+        calling thread scores the even-indexed chunks and one helper
+        thread the odd-indexed ones (DESIGN.md §2 item 1): the chunks and
+        kernels are the serial ones, so the result is the same bits.
         """
         if service_id not in self.extractor:
             raise KeyError(
@@ -222,9 +231,58 @@ class MaceTrainer:
         # ``score_windows`` casts each chunk to the model's dtype, so no
         # cast copy of the whole array is ever held.
         windows = np.asarray(windows)
-        pieces = [
-            self.model.score_windows(windows[start:start + batch_size],
-                                     self.extractor, service_id)
-            for start in range(0, windows.shape[0], batch_size)
-        ]
+        chunks = [windows[start:start + batch_size]
+                  for start in range(0, windows.shape[0], batch_size)]
+
+        def score(chunk: np.ndarray) -> np.ndarray:
+            return self.model.score_windows(chunk, self.extractor, service_id)
+
+        if len(chunks) < 2:
+            return np.concatenate([score(chunk) for chunk in chunks], axis=0)
+        # The helper must only read shared state: fill the model's lazy
+        # caches (the service's DFT/IDFT modules, its marker channels)
+        # here, before it starts.
+        self.extractor.transforms(service_id, self.model.dtype)
+        if self.model.characterization.use_markers:
+            self.model.characterization._markers(
+                self.extractor.subspace(service_id))
+        pieces: List[Optional[np.ndarray]] = [None] * len(chunks)
+        failures: List[BaseException] = []
+        stop = threading.Event()
+
+        def helper() -> None:
+            try:
+                for index in range(1, len(chunks), 2):
+                    if stop.is_set():
+                        return
+                    pieces[index] = score(chunks[index])
+            except BaseException as error:  # re-raised by the caller
+                failures.append(error)
+
+        # The helper runs in a copy of the caller's context, so NumPy's
+        # ``errstate`` (a context variable) applies to its chunks too.
+        thread = threading.Thread(target=contextvars.copy_context().run,
+                                  args=(helper,), name="window-errors",
+                                  daemon=True)
+        thread.start()
+        # No thread outlives the call (the orchestrator and gateway fork):
+        # on every exit the helper is joined, and on a failure here it is
+        # first told to stop after its current chunk.
+        try:
+            for index in range(0, len(chunks), 2):
+                if failures:
+                    break
+                pieces[index] = score(chunks[index])
+        except BaseException:
+            stop.set()
+            raise
+        finally:
+            thread.join(timeout=_HELPER_JOIN_TIMEOUT_S)
+        if thread.is_alive():
+            stop.set()
+            raise TimeoutError(
+                f"window_errors helper did not finish within "
+                f"{_HELPER_JOIN_TIMEOUT_S:.0f} s")
+        if failures:
+            raise failures[0]
         return np.concatenate(pieces, axis=0)

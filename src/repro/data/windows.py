@@ -24,6 +24,11 @@ __all__ = [
 
 def sliding_windows(series: np.ndarray, window: int, stride: int = 1) -> np.ndarray:
     """``(T_total, m) -> (W, window, m)`` windows with the given stride."""
+    return np.ascontiguousarray(_window_view(series, window, stride))
+
+
+def _window_view(series: np.ndarray, window: int, stride: int) -> np.ndarray:
+    """:func:`sliding_windows` as a strided view of ``series`` (no copy)."""
     if series.ndim == 1:
         series = series[:, None]
     if series.shape[0] < window:
@@ -33,7 +38,7 @@ def sliding_windows(series: np.ndarray, window: int, stride: int = 1) -> np.ndar
     if stride < 1:
         raise ValueError("stride must be >= 1")
     views = sliding_window_view(series, window, axis=0)  # (W, m, window)
-    return np.ascontiguousarray(np.moveaxis(views[::stride], -1, 1))
+    return np.moveaxis(views[::stride], -1, 1)
 
 
 def window_starts(length: int, window: int, stride: int = 1) -> np.ndarray:
@@ -66,8 +71,10 @@ class WindowDataset:
         self.window = window
         self.stride = stride
         self.service_ids = list(service_ids)
+        # Strided views, not copies: each batch's fancy-index gather
+        # already makes the contiguous copy the model reads.
         self._windows: List[np.ndarray] = [
-            sliding_windows(series, window, stride) for series in series_per_service
+            _window_view(series, window, stride) for series in series_per_service
         ]
 
     @property

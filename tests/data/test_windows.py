@@ -69,6 +69,37 @@ class TestWindowDataset:
         for x, y in zip(first, second):
             np.testing.assert_array_equal(x, y)
 
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("shuffle", [True, False])
+    def test_batches_equal_copying_dataset(self, rng, stride, shuffle):
+        """The dataset keeps strided views of each series; its batches
+        must be the bytes, dtype and layout of the dataset that copied
+        every window up front (kept here as the reference)."""
+        series = [rng.normal(size=(70, 3)), rng.normal(size=57),
+                  rng.normal(size=(45, 1)).astype(np.float32)]
+        ids = ["a", "b", "c"]
+        dataset = WindowDataset(series, ids, window=8, stride=stride)
+        reference = WindowDataset(series, ids, window=8, stride=stride)
+        reference._windows = [sliding_windows(s, 8, stride) for s in series]
+        got = list(dataset.batches(16, np.random.default_rng(3), shuffle))
+        expected = list(reference.batches(16, np.random.default_rng(3),
+                                          shuffle))
+        assert len(got) == len(expected)
+        assert dataset.num_windows == reference.num_windows
+        for batch, want in zip(got, expected):
+            assert batch.service_id == want.service_id
+            assert batch.windows.dtype == want.windows.dtype
+            assert batch.windows.shape == want.windows.shape
+            assert batch.windows.flags.c_contiguous
+            assert batch.windows.tobytes() == want.windows.tobytes()
+
+    def test_batches_are_copies(self, rng):
+        series = rng.normal(size=(20, 1))
+        dataset = WindowDataset([series], ["a"], window=4)
+        batch = next(dataset.batches(4, shuffle=False))
+        batch.windows[0, 0, 0] = 999.0
+        assert series[0, 0] != 999.0
+
 
 class TestScoresToTimeline:
     def test_constant_scores_average_to_constant(self):
