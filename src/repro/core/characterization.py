@@ -11,6 +11,8 @@ of each service's normal pattern.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.analysis.spec import TensorSpec, child_contract
@@ -63,23 +65,35 @@ class FrequencyCharacterization(Module):
         self.conv = Conv1d(in_channels, channels, kernel_size,
                            padding=kernel_size // 2, rng=rng)
         self.activation = Tanh()
-        self._marker_cache: dict = {}
+        # subspace -> its marker channels in the conv weight's dtype.  Held
+        # weakly: a refitted service's old subspace takes its entry with it
+        # when it is freed, so a new subspace never finds another's markers.
+        self._marker_cache = weakref.WeakKeyDictionary()
 
     def _markers(self, subspace: ServiceSubspace) -> np.ndarray:
-        key = id(subspace)  # effects: ok ID_HASH reason=per-instance cache key; marker values are independent of it
-        if key not in self._marker_cache:
-            self._marker_cache[key] = frequency_marker_channels(subspace) \
-                .astype(self.conv.weight.dtype)
-        return self._marker_cache[key]
+        """``(m, 2, 2k)`` sine and cosine marker channels of ``subspace``,
+        built once per subspace and dtype."""
+        dtype = self.conv.weight.dtype
+        cached = self._marker_cache.get(subspace)
+        if cached is None or cached.dtype != dtype:
+            cached = np.ascontiguousarray(
+                frequency_marker_channels(subspace).transpose(1, 0, 2),
+                dtype=dtype)
+            self._marker_cache[subspace] = cached
+        return cached
 
-    def _marker_rows(self, subspace: ServiceSubspace, n: int) -> tuple:
-        """The sine and cosine marker channels tiled over a batch of ``n``
-        windows: two ``(N*m, 1, 2k)`` arrays."""
-        markers = self._markers(subspace)  # (2, m, 2k)
-        _, m, width = markers.shape
-        tiled = np.broadcast_to(markers[:, None], (2, n, m, width))
-        tiled = tiled.reshape(2, n * m, width)
-        return tiled[0][:, None, :], tiled[1][:, None, :]
+    def _marker_block(self, subspace: ServiceSubspace, n: int,
+                      dtype) -> np.ndarray:
+        """An ``(N, m, 3, 2k)`` block for ``n`` windows of coefficients in
+        ``dtype``, with the marker channels tiled into channels 1 and 2.
+        Channel 0 is left unset: the array path writes the coefficients
+        into it, the taped path concatenates them in front of 1 and 2."""
+        markers = self._markers(subspace)
+        m, _, width = markers.shape
+        block = np.empty((n, m, 3, width),
+                         dtype=np.promote_types(dtype, markers.dtype))
+        block[:, :, 1:] = markers
+        return block
 
     def contract(self, spec: TensorSpec) -> TensorSpec:
         """``(N, m, 2k) -> (N*m, channels, 2k)`` representation."""
@@ -93,19 +107,23 @@ class FrequencyCharacterization(Module):
         n, m, width = coeffs.shape
         flat = coeffs.reshape(n * m, 1, width)
         if self.use_markers:
-            sines, cosines = self._marker_rows(subspace, n)
-            flat = concatenate([flat, Tensor(sines), Tensor(cosines)],
-                               axis=1)  # (N*m, 3, 2k)
+            block = self._marker_block(subspace, n, coeffs.dtype)
+            markers = block.reshape(n * m, 3, width)[:, 1:]
+            flat = concatenate([flat, Tensor(markers)], axis=1)  # (N*m, 3, 2k)
         return self.activation(self.conv(flat))
 
     def forward_array(self, coeffs: np.ndarray,
                       subspace: ServiceSubspace) -> np.ndarray:
         """:meth:`forward` on a plain array, without a tape (bitwise equal)."""
         n, m, width = coeffs.shape
-        flat = coeffs.reshape(n * m, 1, width)
         if self.use_markers:
-            flat = np.concatenate([flat, *self._marker_rows(subspace, n)],
-                                  axis=1)
+            # The (N*m, 3, 2k) block the taped path concatenates, with the
+            # coefficients written straight into channel 0.
+            block = self._marker_block(subspace, n, coeffs.dtype)
+            block[:, :, 0] = coeffs
+            flat = block.reshape(n * m, 3, width)
+        else:
+            flat = coeffs.reshape(n * m, 1, width)
         conv = self.conv
         out, _ = F.conv1d_array(flat, conv.weight.data, conv.bias.data,
                                 stride=conv.stride, padding=conv.padding)

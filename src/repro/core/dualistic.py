@@ -137,6 +137,10 @@ class DualisticConv1d(Module):
             for channel in range(in_channels):
                 weight[channel, channel, :] = 1.0 / kernel_size
             self.register_buffer("fixed_weight", weight)
+        # The tape-free path's weight-derived operands (``_scoring_kernel``),
+        # with the key they were computed for.  A plain attribute: not a
+        # parameter or buffer, so never in ``state_dict()``.
+        self._scoring_operands: tuple = ()
 
     def _kernel(self) -> Tensor:
         if self.learnable:
@@ -163,6 +167,28 @@ class DualisticConv1d(Module):
         mass = np.abs(kernel).sum(axis=(1, 2))  # per out-channel
         correction = self.shift * (mass / self.sigma) ** (1.0 / float(self.gamma))
         return correction[None, :, None]
+
+    def _scoring_kernel(self) -> tuple:
+        """``(kernel, shift correction or None)`` for :meth:`forward_array`.
+
+        Computed once per weight version rather than once per call.  The
+        key is the weight array itself (compared with ``is``) and the
+        parameter's ``_version``: every write to a parameter rebinds
+        ``.data`` through the setter, which bumps the version, so an
+        optimizer step, ``load_state_dict`` or ``to`` all miss and
+        recompute.  A fixed kernel is a buffer, rebound on every change.
+        """
+        if self.learnable:
+            source, version = self.weight.data, self.weight._version
+        else:
+            source, version = self.fixed_weight, 0
+        cached = self._scoring_operands
+        if not cached or cached[0] is not source or cached[1] != version:
+            kernel = np.abs(source) if self.learnable else source
+            correction = self._shift_correction(kernel) if self.shift else None
+            cached = (source, version, kernel, correction)
+            self._scoring_operands = cached
+        return cached[2], cached[3]
 
     def forward(self, x: Tensor) -> Tensor:
         gamma = float(self.gamma)
@@ -196,23 +222,27 @@ class DualisticConv1d(Module):
         intermediate is freed as soon as the next one exists.
         """
         gamma = float(self.gamma)
-        kernel = np.abs(self.weight.data) if self.learnable else self.fixed_weight
+        kernel, correction = self._scoring_kernel()
         literal = self.mode == "valley" and self.valley_mode == "negative_gamma"
         negate = self.mode == "valley" and not literal
         if literal:
             y = clip_array(np.abs(x), self.eps, np.inf) * self._directions(x)
             gamma = -gamma
+        elif negate:
+            y = x * -1.0
+            y += self.shift
         else:
-            y = (x * -1.0 if negate else x) + self.shift
+            y = x + self.shift
         y = odd_power_array(y, gamma)
         y *= 1.0 / self.sigma
-        y, _ = F.conv1d_array(y, kernel, stride=self.stride,
-                              padding=self.padding)
+        # ``[0]``: the im2col matrix is freed as soon as the product exists.
+        y = F.conv1d_array(y, kernel, stride=self.stride,
+                           padding=self.padding)[0]
         y = odd_root_array(y, gamma)
         if literal:
             return y
         if self.shift:
-            y -= self._shift_correction(kernel)
+            y -= correction
         if negate:
             y *= -1.0
         return y

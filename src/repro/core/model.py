@@ -173,16 +173,17 @@ class _Branch(Module):
         y = representation
         if padding:
             y = pad1d_array(y, 0, padding)
-        # Rebinding ``y`` frees each intermediate once the next exists.
+        # Rebinding ``y`` frees each intermediate once the next exists,
+        # and ``[0]`` drops the operand each kernel returns for a backward.
         y = self.encoder.forward_array(y)
         decoder, head = self.decoder, self.head
-        y, _ = F.conv_transpose1d_array(y, decoder.weight.data,
-                                        decoder.bias.data,
-                                        stride=decoder.stride,
-                                        padding=decoder.padding)
+        y = F.conv_transpose1d_array(y, decoder.weight.data,
+                                     decoder.bias.data,
+                                     stride=decoder.stride,
+                                     padding=decoder.padding)[0]
         y = F.leaky_relu_array(y, self.activation.negative_slope)
-        y, _ = F.conv1d_array(y, head.weight.data, head.bias.data,
-                              stride=head.stride, padding=head.padding)
+        y = F.conv1d_array(y, head.weight.data, head.bias.data,
+                           stride=head.stride, padding=head.padding)[0]
         return y[:, 0, :width]
 
 
@@ -280,20 +281,46 @@ class MaceModel(Module):
             windows = windows.astype(self.dtype)
         amplified = (self.amplifier.forward_array(windows)
                      if self.config.use_time_amplifier else windows)
+        # Each ``del`` frees a chunk-sized array the later stages never
+        # read, so it does not add to the chunk's peak memory.
+        del windows
         dft, idft = extractor.transforms(service_id, self.dtype)
         coeffs = dft.forward_array(amplified)  # (N, m, 2k)
-        n, m, width = coeffs.shape
+        width = coeffs.shape[-1]
         representation = self.characterization.forward_array(
             coeffs, extractor.subspace(service_id))  # (N*m, C, 2k)
-        errors = []
-        for branch in (self.peak_branch, self.valley_branch):
-            spectrum = branch.forward_array(representation, width)
-            diff = idft.forward_array(spectrum.reshape(n, m, width)) - amplified
-            # Tensor.mean's sum times the reciprocal count.
-            errors.append((diff * diff).sum(axis=-1) * (1.0 / diff.shape[-1]))
+        del coeffs
+        errors = [self._branch_errors(branch, representation, width, idft,
+                                      amplified)
+                  for branch in (self.peak_branch, self.valley_branch)]
         if self.config.select_max_error:
             return np.maximum(errors[0], errors[1])
         return 0.5 * (errors[0] + errors[1])
+
+    @staticmethod
+    def _branch_errors(branch: _Branch, representation: np.ndarray,
+                       width: int, idft, amplified: np.ndarray) -> np.ndarray:
+        """One branch's ``(N, T)`` errors for :meth:`score_windows`.  A
+        function of its own, so its temporaries are freed on return."""
+        n, _, m = amplified.shape
+        spectrum = branch.forward_array(representation, width)
+        diff = idft.forward_array(spectrum.reshape(n, m, width)) - amplified
+        # Tensor.mean's sum times the reciprocal count.
+        return (diff * diff).sum(axis=-1) * (1.0 / diff.shape[-1])
+
+    def prepare_scoring(self, extractor: PatternExtractor,
+                        service_id: str) -> None:
+        """Build every operand :meth:`score_windows` would otherwise build
+        lazily on its first call for ``service_id``: the service's DFT/IDFT
+        modules and marker channels, and each dualistic convolution's
+        weight-derived kernel.  After this, scoring the service with the
+        current weights only reads shared state."""
+        extractor.transforms(service_id, self.dtype)
+        if self.characterization.use_markers:
+            self.characterization._markers(extractor.subspace(service_id))
+        for module in self.modules():
+            if isinstance(module, DualisticConv1d):
+                module._scoring_kernel()
 
     def loss(self, output: MaceOutput) -> Tensor:
         """Stage-4 objective: mean of the per-slot max-branch error."""

@@ -231,21 +231,21 @@ class MaceTrainer:
         # ``score_windows`` casts each chunk to the model's dtype, so no
         # cast copy of the whole array is ever held.
         windows = np.asarray(windows)
+        if windows.shape[0] <= batch_size:
+            # One chunk (a batch-1 stream update) or none: no list, no
+            # thread, no concatenate copy.
+            return self.model.score_windows(windows, self.extractor,
+                                            service_id)
         chunks = [windows[start:start + batch_size]
                   for start in range(0, windows.shape[0], batch_size)]
 
         def score(chunk: np.ndarray) -> np.ndarray:
             return self.model.score_windows(chunk, self.extractor, service_id)
 
-        if len(chunks) < 2:
-            return np.concatenate([score(chunk) for chunk in chunks], axis=0)
-        # The helper must only read shared state: fill the model's lazy
-        # caches (the service's DFT/IDFT modules, its marker channels)
-        # here, before it starts.
-        self.extractor.transforms(service_id, self.model.dtype)
-        if self.model.characterization.use_markers:
-            self.model.characterization._markers(
-                self.extractor.subspace(service_id))
+        # The helper must only read shared state: fill every operand the
+        # model builds lazily (the service's DFT/IDFT modules, its marker
+        # channels, the weight-derived kernels) here, before it starts.
+        self.model.prepare_scoring(self.extractor, service_id)
         pieces: List[Optional[np.ndarray]] = [None] * len(chunks)
         failures: List[BaseException] = []
         stop = threading.Event()

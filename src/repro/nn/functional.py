@@ -93,19 +93,48 @@ def _windows(data: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     if stride == kernel and count * kernel == length:
         return data.reshape(data.shape[:-1] + (count, kernel))
     step = data.strides[-1]
-    return as_strided(data, data.shape[:-1] + (count, kernel),
-                      data.strides[:-1] + (step * stride, step))
+    shape = data.shape[:-1] + (count, kernel)
+    strides = data.strides[:-1] + (step * stride, step)
+    if data.flags.forc:
+        # The same view through the ndarray constructor, several times
+        # cheaper than as_strided.  It needs a C-contiguous buffer at the
+        # same address: the array itself, or the transpose of a
+        # Fortran-ordered one (``_pad`` keeps that order).
+        buffer = data if data.flags.c_contiguous else data.T
+        return np.ndarray(shape, data.dtype, buffer, 0, strides)
+    return as_strided(data, shape, strides)
+
+
+# From this many elements on, ``_matrix`` writes a C-ordered matrix
+# directly rather than through einsum's intermediate copy (same result).
+_DIRECT_COPY_MIN = 1 << 14
 
 
 def _matrix(view: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """``(rows, cols)`` matmul operand in einsum's memory layout.
 
     einsum drops size-1 axes with a copy that keeps the source's stride
-    order (``order="K"``), then reshapes.
+    order (``order="K"``), then reshapes.  When that reshape cannot be a
+    view of the copy it copies again, into C order.  For a large operand
+    (the im2col matrix of a one-channel or one-tap convolution) that
+    C-ordered matrix is written directly instead: the same bytes and
+    layout, one copy and one chunk-sized temporary fewer.  A small one
+    keeps the two copies, which cost less than finding out.
     """
-    if 1 in view.shape:
-        view = view.copy(order="K")
-    return view.reshape(rows, cols)
+    if 1 not in view.shape:
+        return view.reshape(rows, cols)
+    if view.size < _DIRECT_COPY_MIN:
+        return view.copy(order="K").reshape(rows, cols)
+    copy = np.empty_like(view, order="K")  # noqa: REP110 - filled or dropped unread
+    try:
+        matrix = copy.reshape(rows, cols, copy=False)
+    except ValueError:
+        del copy
+        matrix = np.empty((rows, cols), dtype=view.dtype)  # noqa: REP110 - next line fills it
+        matrix.reshape(view.shape)[...] = view
+        return matrix
+    copy[...] = view
+    return matrix
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

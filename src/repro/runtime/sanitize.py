@@ -82,6 +82,11 @@ class SanitizationReport:
                     or self.missing_row)
 
 
+# The report of an observation that needed no repair (reports are frozen,
+# so one instance serves every such update).
+_UNMODIFIED = SanitizationReport()
+
+
 class Sanitizer:
     """Stateful per-service observation repair.
 
@@ -153,12 +158,14 @@ class Sanitizer:
             )
 
         finite = np.isfinite(observation)
+        all_finite = bool(finite.all())
         clean = observation.copy()
-        if not finite.all():
+        imputed: tuple = ()
+        if not all_finite:
             source = (self._last if self.config.impute == "last"
                       else self._median)
             clean[~finite] = source[~finite]
-        imputed = tuple(np.flatnonzero(~finite).tolist())
+            imputed = tuple(np.flatnonzero(~finite).tolist())
 
         clipped: tuple = ()
         if self._lo is not None:
@@ -169,13 +176,15 @@ class Sanitizer:
                 clean = np.clip(clean, self._lo, self._hi)
                 clipped = tuple(np.flatnonzero(out).tolist())
 
-        if finite.all() and not missing_row:
+        if all_finite and not missing_row:
             self._consecutive_imputed = 0
         elif not finite.any() or missing_row:
             self._consecutive_imputed += 1
         gap_exceeded = (self._consecutive_imputed
                         >= self.config.max_consecutive_imputed)
         self._last = clean.copy()
+        if not (imputed or clipped or missing_row or gap_exceeded):
+            return clean, _UNMODIFIED  # the common case: nothing repaired
         return clean, SanitizationReport(
             imputed_features=imputed,
             clipped_features=clipped,

@@ -2,9 +2,10 @@
 
 * The float32 model computes in float32 end to end: every op output and
   every gradient on the tape, the parameters and the Adam moments.
-* Float32 ``window_errors`` is bitwise equal across batch sizes, which
-  the streaming path relies on (a batch-1 update must equal the batched
-  forward).
+* ``window_errors`` is bitwise equal across batch sizes, which the
+  streaming path relies on (a batch-1 update must equal the batched
+  forward): every Table IX config in float64 and float32, except the
+  two float32 full-spectrum configs, which are strict xfails.
 * The float64 path is bitwise equal to the code before float32 existed:
   ``golden_float64.json`` holds SHA-256 digests of a seeded fit, score
   and 400 stream updates made by that code.
@@ -113,15 +114,39 @@ def test_tape_gradients_and_moments_are_float32(stream_dataset):
     assert {b.dtype for b in buffers.values()} == {single}
 
 
-def test_window_errors_bitwise_equal_across_batch_sizes(fitted32,
-                                                        stream_dataset):
+TABLE9 = {
+    "MACE": {},
+    "no_context_aware": {"context_aware": False},
+    "no_dualistic_freq": {"use_dualistic_freq": False},
+    "no_time_amplifier": {"use_time_amplifier": False},
+    "no_markers": {"use_characterization_markers": False},
+    "no_pattern_extraction": {"context_aware": False,
+                              "use_characterization_markers": False},
+}
+FULL_SPECTRUM_FLOAT32 = pytest.mark.xfail(
+    strict=True,
+    reason="float32 full-spectrum scoring is not batch-invariant: the "
+           "branch encoder's sgemm (a 16x40 weight against N*m*9 columns) "
+           "rounds differently as the column count changes (CHANGES.md "
+           "FOUND, float32 full-spectrum ablation)")
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("name", sorted(TABLE9))
+def test_window_errors_bitwise_equal_across_batch_sizes(request,
+                                                        stream_dataset,
+                                                        name, dtype):
+    if dtype == "float32" and not TABLE9[name].get("context_aware", True):
+        request.applymarker(FULL_SPECTRUM_FLOAT32)
     service = stream_dataset[0]
+    trainer = MaceTrainer(MaceConfig(epochs=1, dtype=dtype, **TABLE9[name]))
+    trainer.fit([service.service_id], [service.train[:256]])
     windows = sliding_windows(service.test, 40, 1)[:256]
-    single = fitted32.window_errors(service.service_id, windows, batch_size=1)
-    assert single.dtype == np.float32
+    single = trainer.window_errors(service.service_id, windows, batch_size=1)
+    assert single.dtype == np.dtype(dtype)
     for batch_size in (7, 64, 256):
-        batched = fitted32.window_errors(service.service_id, windows,
-                                         batch_size=batch_size)
+        batched = trainer.window_errors(service.service_id, windows,
+                                        batch_size=batch_size)
         assert batched.tobytes() == single.tobytes(), batch_size
 
 

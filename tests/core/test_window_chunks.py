@@ -11,8 +11,9 @@ boundaries (it is not batch-invariant), so a helper that re-chunked its
 share would fail here.
 
 The lifecycle tests pin the rest of the contract: a helper's exception
-reaches the caller, no thread outlives a call on success or failure, and
-a single chunk starts no thread.
+reaches the caller, no thread outlives a call on success or failure, a
+single chunk starts no thread, and zero windows score to an empty
+``(0, T)`` array.
 """
 
 import sys
@@ -205,3 +206,14 @@ def test_concurrent_callers_match_serial(dataset):
     for result in results:
         assert result is not None
         assert result.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_zero_windows_score_to_an_empty_array(dataset, dtype):
+    trainer = _fitted(MaceConfig(epochs=1, dtype=dtype), dataset)
+    empty = np.empty((0, 40, dataset[0].train.shape[1]))
+    for batch_size in (1, BATCH_SIZE):
+        errors = trainer.window_errors(dataset[0].service_id, empty,
+                                       batch_size=batch_size)
+        assert errors.shape == (0, 40)
+        assert errors.dtype == np.dtype(dtype)

@@ -265,3 +265,53 @@ def test_float32_convolutions_never_plan_einsum(tiny_dataset, monkeypatch):
     """In float32 the one-row product's einsum runs unplanned."""
     _fit_and_score_forbidding(tiny_dataset, monkeypatch, "float32",
                               ("einsum_path",))
+
+
+# --- operand layout helpers -------------------------------------------------
+
+def _einsum_matrix(view, rows, cols):
+    """einsum's size-1 handling: a stride-order copy, then a reshape."""
+    if 1 in view.shape:
+        view = view.copy(order="K")
+    return view.reshape(rows, cols)
+
+
+def _views():
+    """im2col-style views with size-1 axes, below and above the size from
+    which ``_matrix`` writes a C-ordered matrix directly."""
+    rng = np.random.default_rng(0)
+    for n in (1, 7, 1024):
+        x = rng.normal(size=(n, 1, 44)).astype(np.float32)
+        windows = np.lib.stride_tricks.as_strided(
+            x, (n, 1, 40, 5), x.strides + (x.strides[-1],))
+        yield windows.transpose(1, 3, 0, 2), 5, n * 40      # one channel
+        y = rng.normal(size=(n, 8, 20))
+        yield y[..., None].transpose(1, 3, 0, 2), 8, n * 20  # one tap
+        yield y[:, :1].transpose(0, 2, 1), n * 20, 1         # one column
+        yield y.transpose(1, 0, 2)[None], 8, n * 20          # leading 1
+
+
+def test_matrix_equals_einsum_layout():
+    for view, rows, cols in _views():
+        got = F._matrix(view, rows, cols)
+        expected = _einsum_matrix(view, rows, cols)
+        assert got.dtype == expected.dtype
+        assert got.strides == expected.strides, view.shape
+        assert got.tobytes(order="A") == expected.tobytes(order="A")
+        assert not np.shares_memory(got, view)
+
+
+def test_windows_view_equals_as_strided():
+    x = np.arange(2 * 3 * 23, dtype=np.float32).reshape(2, 3, 23)
+    for data in (x, np.asfortranarray(x), x.transpose(1, 0, 2), x[..., ::2]):
+        for kernel, stride in ((3, 1), (5, 2), (4, 4), (5, 5)):
+            got = F._windows(data, kernel, stride)
+            count = (data.shape[-1] - kernel) // stride + 1
+            step = data.strides[-1]
+            expected = np.lib.stride_tricks.as_strided(
+                data, data.shape[:-1] + (count, kernel),
+                data.strides[:-1] + (step * stride, step))
+            assert got.shape == expected.shape
+            assert got.strides == expected.strides
+            assert np.array_equal(got, expected)
+            assert np.shares_memory(got, data)
