@@ -744,7 +744,20 @@ class _Analyzer:
                     if module is not None:
                         name = resolved.rsplit(".", 1)[1]
                         return set(module.global_types.get(name, ()))
-            return set()
+            # An attribute of any other typed receiver, e.g.
+            # ``self._require_stream(id).spot``.
+            out: Set[str] = set()
+            for typ in self._infer(expr.value, info, function, locals_,
+                                   depth + 1):
+                if typ == _SET_TYPE:
+                    continue
+                for ancestor in self.model.mro(typ):
+                    types = self.model.classes[ancestor].attr_types.get(
+                        expr.attr)
+                    if types:
+                        out.update(types)
+                        break
+            return out
         if isinstance(expr, ast.Call):
             func = expr.func
             if isinstance(func, ast.Name):
@@ -877,6 +890,17 @@ class _Analyzer:
                 continue
             # ---- calls ----------------------------------------------
             func = node.func
+            # A repo function passed by name to another repo function may
+            # be called by it (``_fmin(_penalized_nll, ...)``): an edge to
+            # it.  Callables handed to the outside (process or thread
+            # targets) are left to their own determinism roots.
+            if isinstance(func, ast.Name) \
+                    and resolve(func.id) in self.model.functions:
+                for arg in [*node.args,
+                            *(kw.value for kw in node.keywords)]:
+                    if isinstance(arg, ast.Name):
+                        add_call(self.model.functions.get(resolve(arg.id)),
+                                 arg)
             if isinstance(func, ast.Name):
                 if func.id == "id" and len(node.args) == 1:
                     add_site("ID_HASH", node, "id() of a live object")

@@ -207,8 +207,13 @@ class MaceModel(Module):
         self.valley_branch = _Branch(config, "valley", rng=rng)
         # Initialised in float64 from the same draws whatever the dtype,
         # then cast once.
-        self.dtype = np.dtype(config.dtype)
-        self.to(self.dtype)
+        self.to(config.dtype)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The weights' dtype, which inputs are cast to: ``config.dtype``
+        until :meth:`Module.to` casts the model."""
+        return self.peak_branch.head.weight.data.dtype
 
     def contract(self, spec: TensorSpec) -> TensorSpec:
         """Validate the full four-stage pipeline on ``(N, T, m)`` windows.

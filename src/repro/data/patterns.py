@@ -12,6 +12,7 @@ SMD-like profile (very diverse, Fig. 5a left) from the J-D2-like profile
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
@@ -118,12 +119,14 @@ class ArNoise:
 
     def sample(self, length: int, rng: np.random.Generator) -> np.ndarray:
         shocks = rng.normal(0.0, self.sigma, size=length)
-        noise = np.empty(length)  # noqa: REP110 - recurrence writes every element once
-        previous = 0.0
-        for index in range(length):
-            previous = self.phi * previous + shocks[index]
-            noise[index] = previous
-        return noise
+        # The recurrence over Python floats: the same roundings as a loop
+        # over NumPy scalars, at a fraction of the per-step cost.
+        phi = float(self.phi)
+        noise = itertools.accumulate(
+            shocks.tolist(), lambda previous, shock: phi * previous + shock,
+            initial=0.0)
+        next(noise)  # the initial 0.0
+        return np.fromiter(noise, dtype=float, count=length)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Implements the SPOT initial-calibration step of Siffer et al. (KDD 2017),
 which the paper cites as its thresholding strategy: fit a Generalised
 Pareto Distribution to the excesses above a high empirical quantile and
-derive the threshold whose exceedance probability is ``q``.
+derive the threshold whose exceedance probability is ``q``.  The GPD is
+fitted by :func:`repro.eval.gpd.fit_gpd`, which gives scipy's
+``genpareto.fit`` bits without importing scipy.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import genpareto
+
+from repro.eval.gpd import fit_gpd
 
 __all__ = ["PotFit", "fit_pot", "pot_threshold"]
 
@@ -52,13 +55,12 @@ def fit_pot(scores: np.ndarray, level: float = 0.98) -> PotFit:
     initial = float(np.quantile(scores, level))
     excesses = scores[scores > initial] - initial
     if excesses.size < 4:
-        # Degenerate tail: fall back to an exponential fit on whatever is
-        # above the median excess scale.
+        # Degenerate tail: too few excesses to fit, so fall back to an
+        # exponential tail whose scale is the scores' standard deviation.
         scale = float(scores.std() + 1e-9)
         return PotFit(initial, 0.0, scale, int(excesses.size), scores.size)
-    shape, _, scale = genpareto.fit(excesses, floc=0.0)
-    return PotFit(initial, float(shape), float(scale), int(excesses.size),
-                  scores.size)
+    shape, scale = fit_gpd(excesses)
+    return PotFit(initial, shape, scale, int(excesses.size), scores.size)
 
 
 def pot_threshold(scores: np.ndarray, q: float = 1e-3,

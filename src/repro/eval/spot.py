@@ -15,6 +15,7 @@ from typing import List
 
 import numpy as np
 
+from repro.eval.gpd import fit_gpd
 from repro.eval.pot import PotFit, fit_pot
 
 __all__ = ["Spot"]
@@ -140,13 +141,10 @@ class Spot:
         return spot
 
     def _refit(self) -> None:
-        from scipy.stats import genpareto
-
-        excesses = np.asarray(self._excesses, dtype=float)
-        shape, _, scale = genpareto.fit(excesses, floc=0.0)
+        shape, scale = fit_gpd(self._excesses)
         self._fit = PotFit(
-            self._fit.initial_threshold, float(shape), float(scale),
-            excesses.size, self._num_samples,
+            self._fit.initial_threshold, shape, scale,
+            len(self._excesses), self._num_samples,
         )
         self.threshold = self._fit.quantile(self.q)
         self._pending = 0

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import gaussian_kde
 
 from repro.frequency.dft import rfft_amplitude
 
@@ -95,7 +94,11 @@ def pairwise_kde_kl(series_list, grid_size: int = 200, eps: float = 1e-12) -> np
 
     Each element of ``series_list`` is a 1-D (or flattened) sample of one
     subset's normal values.  Returns the upper-triangle KL values.
+    Imports ``scipy.stats`` on first call: nothing that fits, scores or
+    serves a model loads it.
     """
+    from scipy.stats import gaussian_kde
+
     samples = [np.asarray(s, dtype=float).reshape(-1) for s in series_list]
     if len(samples) < 2:
         raise ValueError("need at least two subsets")

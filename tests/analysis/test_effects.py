@@ -246,6 +246,54 @@ class TestCallGraph:
         )})
         assert atoms_of(model, "pkg.mod.drive") == {"TIME"}
 
+    def test_attribute_of_a_typed_call_result(self, tmp_path):
+        # the StreamingDetector pattern: ``self._require(id).spot.step()``
+        model = make_pkg(tmp_path, {"mod.py": (
+            "import time\n"
+            "class Spot:\n"
+            "    def step(self):\n"
+            "        return time.time()\n"
+            "class Stream:\n"
+            "    def __init__(self, spot: Spot):\n"
+            "        self.spot = spot\n"
+            "class Detector:\n"
+            "    def _require(self, key) -> Stream:\n"
+            "        return Stream(Spot())\n"
+            "    def update(self, key):\n"
+            "        stream = self._require(key)\n"
+            "        return stream.spot.step() + self._require(key).spot.step()\n"
+        )})
+        assert atoms_of(model, "pkg.mod.Detector.update") == {"TIME"}
+
+    def test_function_passed_to_a_repo_function(self, tmp_path):
+        # the fit_gpd pattern: ``_fmin(_objective, x0, data)``
+        model = make_pkg(tmp_path, {"mod.py": (
+            "import time\n"
+            "def objective(x):\n"
+            "    return time.time() + x\n"
+            "def minimise(func, x0):\n"
+            "    return func(x0)\n"
+            "def fit():\n"
+            "    return minimise(objective, 1.0)\n"
+            "def fit_by_keyword():\n"
+            "    return minimise(func=objective, x0=1.0)\n"
+        )})
+        assert atoms_of(model, "pkg.mod.fit") == {"TIME"}
+        assert atoms_of(model, "pkg.mod.fit_by_keyword") == {"TIME"}
+
+    def test_function_handed_outside_the_repo_is_not_an_edge(self,
+                                                              tmp_path):
+        # process and thread targets run under their own roots
+        model = make_pkg(tmp_path, {"mod.py": (
+            "import threading\n"
+            "import time\n"
+            "def job():\n"
+            "    return time.time()\n"
+            "def launch():\n"
+            "    return threading.Thread(target=job)\n"
+        )})
+        assert atoms_of(model, "pkg.mod.launch") == set()
+
     def test_with_statement_reaches_enter_and_exit(self, tmp_path):
         model = make_pkg(tmp_path, {"mod.py": (
             "import time\n"
@@ -445,6 +493,16 @@ class TestRealRepository:
                     if f.rule == "DET502" and f.model == "MaceTrainer.fit"]
         assert any("__enter__ reads time.perf_counter" in m
                    for m in messages)
+
+    def test_serving_update_reaches_the_gpd_fit(self):
+        # SPOT refits inside ServingRuntime.update; the objective is
+        # passed to the simplex by name
+        model = analyze_package()
+        order, _ = model.reachable(
+            "repro.runtime.serving.ServingRuntime.update")
+        assert {"repro.eval.spot.Spot._refit", "repro.eval.gpd.fit_gpd",
+                "repro.eval.gpd._penalized_nll",
+                "repro.eval.gpd._log"} <= set(order)
 
     def test_matches_committed_baseline(self, repo_report):
         baseline = load_det_baseline("det_baseline.json")

@@ -35,7 +35,7 @@ from repro.core import (
 )
 from repro.data import load_dataset, sliding_windows
 from repro.frequency.context_aware import ContextAwareDFT
-from repro.nn import Tensor
+from repro.nn import Tensor, no_grad
 from repro.nn.optim import Adam
 
 
@@ -260,3 +260,36 @@ def test_markers_follow_the_dtype(dataset):
     trainer.model.to(np.float64)
     assert characterization._markers(subspace).tobytes() == \
         _expected_markers(subspace, np.float64).tobytes()
+
+
+def test_a_float32_model_cast_to_float64_scores_in_float64(dataset, windows,
+                                                            monkeypatch):
+    """``MaceModel.dtype`` follows the weights: after ``to(np.float64)`` a
+    float32 model casts its windows to float64 and asks for float64
+    DFT/IDFT modules, so it scores in float64 end to end, bitwise equal to
+    its own taped forward."""
+    service_id = dataset[0].service_id
+    trainer = _fitted(dataset)
+    assert trainer.model.dtype == np.float32
+    trainer.model.to(np.float64)
+    assert trainer.model.dtype == np.float64
+
+    extractor = trainer.extractor
+    requested = []
+    transforms = extractor.transforms
+
+    def recording(service, dtype):
+        requested.append(np.dtype(dtype))
+        return transforms(service, dtype)
+
+    monkeypatch.setattr(extractor, "transforms", recording)
+    windows32 = windows.astype(np.float32)
+    scores = trainer.window_errors(service_id, windows32,
+                                   batch_size=windows.shape[0])
+    assert scores.dtype == np.float64
+    with no_grad():
+        output = trainer.model(Tensor(windows32), extractor, service_id)
+    assert output.amplified.dtype == np.float64
+    taped = trainer.model.timestep_errors(output)
+    assert requested and set(requested) == {np.dtype(np.float64)}
+    assert scores.tobytes() == taped.tobytes()

@@ -71,6 +71,46 @@ class TestArNoise:
         corr = np.corrcoef(noise[:-1], noise[1:])[0, 1]
         assert corr > 0.5
 
+    @staticmethod
+    def _loop_sample(noise, length, rng):
+        """``ArNoise.sample`` as it was: the recurrence over NumPy scalars."""
+        shocks = rng.normal(0.0, noise.sigma, size=length)
+        values = np.zeros(length)
+        previous = 0.0
+        for index in range(length):
+            previous = noise.phi * previous + shocks[index]
+            values[index] = previous
+        return values
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_bitwise_equal_to_the_scalar_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        phi = float(rng.uniform(-0.99, 0.99))
+        noise = ArNoise(phi=phi, sigma=float(rng.uniform(0.0, 2.0)))
+        length = int(rng.integers(0, 400))
+        expected = self._loop_sample(noise, length,
+                                     np.random.default_rng(seed + 1000))
+        got = noise.sample(length, np.random.default_rng(seed + 1000))
+        assert got.dtype == np.float64 and got.shape == (length,)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("phi", [0.5, -0.5, 0.0, -0.0])
+    def test_signed_zero_shocks_bitwise_equal_to_the_scalar_loop(self, phi):
+        """Shocks of ±0.0 and subnormals keep the loop's bits, zero signs
+        included."""
+
+        class FixedShocks:
+            def normal(self, loc, scale, size):
+                shocks = np.array([-0.0, 0.0, -0.0, 5e-324, -5e-324, -0.0,
+                                   1.0, -1.0, -0.0, 0.0, -0.0])
+                return np.resize(shocks, size)
+
+        noise = ArNoise(phi=phi, sigma=1.0)
+        expected = self._loop_sample(noise, 40, FixedShocks())
+        got = noise.sample(40, FixedShocks())
+        assert np.signbit(expected).any()
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestNormalPattern:
     def _pattern(self):

@@ -1,5 +1,7 @@
 """Spectral statistics (Tables II/III and Fig. 5a machinery)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -68,3 +70,15 @@ class TestKdeKl:
     def test_handles_degenerate_subset(self, rng):
         values = pairwise_kde_kl([np.zeros(100), rng.normal(size=100)])
         assert np.isfinite(values).all()
+
+    def test_bytes_unchanged_by_the_lazy_scipy_import(self):
+        """``pairwise_kde_kl`` imports ``gaussian_kde`` when called rather
+        than at module import; its output keeps the bytes it had with the
+        module-level import (a degenerate subset included)."""
+        rng = np.random.default_rng(11)
+        series = [rng.normal(0.0, 1.0, 300), rng.normal(0.5, 2.0, 200),
+                  rng.exponential(1.0, 250), np.full(100, 0.25)]
+        values = pairwise_kde_kl(series)
+        assert values.dtype == np.float64 and values.shape == (6,)
+        assert hashlib.sha256(values.tobytes()).hexdigest() == (
+            "b1e96ae3031b7f331986bf95481e59aa1c787f20b5c595202e0f20c8445714a7")
