@@ -1,8 +1,8 @@
 # Developer entry points.  The tier-1 gate is `make check`: the repository
 # linter must be clean, the static and determinism analyzers must report
 # nothing outside their committed baselines, the full test suite must pass,
-# the chaos suites and the remediation drill must survive their fixed seed
-# matrices, the disabled-path telemetry overhead must stay within its
+# the chaos suites must survive their fixed seed matrices, the
+# disabled-path telemetry overhead must stay within its
 # effective budget, max(3%, 10 ms / baseline), and the detection-quality
 # gate (`make quality`, about a minute) must reproduce the committed F1.
 # `make check` measures without writing any tracked file.  Performance is
@@ -12,10 +12,10 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: check lint analyze analyze-baseline det-check det-baseline test \
-        chaos chaos-train chaos-serve drill check-model obs-overhead \
+        chaos chaos-train chaos-serve check-model obs-overhead \
         quality bench help
 
-check: lint analyze det-check test chaos chaos-train chaos-serve drill \
+check: lint analyze det-check test chaos chaos-train chaos-serve \
        obs-overhead quality
 
 lint:
@@ -64,14 +64,6 @@ chaos-train:
 chaos-serve:
 	$(PYTHON) -m pytest tests/runtime/test_chaos_serve.py -q
 
-# Closed-loop remediation drill gate: across the seeded scenario matrix
-# (>=30% of services faulted, remediation actions themselves sabotaged),
-# at least 90% of faulted services must converge back to HEALTHY with a
-# verified incident, and the policy engine's cooldown/blast-radius
-# self-audit must record zero violations.
-drill:
-	$(PYTHON) -m pytest tests/runtime/test_drill.py -q
-
 check-model:
 	$(PYTHON) -m repro check-model
 
@@ -103,7 +95,7 @@ bench:
 
 help:
 	@echo "make check            - lint + analyze + det-check + test + chaos +"
-	@echo "                        chaos-train + chaos-serve + drill +"
+	@echo "                        chaos-train + chaos-serve +"
 	@echo "                        obs-overhead + quality (tier-1 gate)"
 	@echo "make lint             - repo linter (repro.analysis.lint)"
 	@echo "make analyze          - static model-graph analyzer vs committed baseline"
@@ -114,7 +106,6 @@ help:
 	@echo "make chaos            - fault-injection suite (fixed seed matrix)"
 	@echo "make chaos-train      - worker-fault chaos suite (fleet orchestrator)"
 	@echo "make chaos-serve      - serving-gateway chaos suite (loss-free failover)"
-	@echo "make drill            - closed-loop remediation drill gate (>=90% converge)"
 	@echo "make check-model      - static MACE shape/dtype contract check"
 	@echo "make quality          - Table IX F1 vs table9.json + paper claims"
 	@echo "make obs-overhead     - telemetry overhead gate (max(3%, 10 ms/baseline))"

@@ -22,68 +22,66 @@ Each tool is usable on its own:
   :mod:`repro.analysis.forksafety` — the determinism analyzer: an
   interprocedural effect system over the ``repro`` package's own AST.
   Every declared determinism root (``MaceTrainer.fit``,
-  ``MaceDetector.score``, serving ``update``, the fleet ``run``,
-  ``run_drill``) is checked against the pure-modulo-seed contract (DET5xx
+  ``MaceDetector.score``, serving ``update``, the fleet ``run``) is
+  checked against the pure-modulo-seed contract (DET5xx
   findings with provenance chains); the multiprocessing layers get a
   fork-safety pass (FS6xx).  ``repro analyze --effects`` drives it and
   gates the audited set against ``det_baseline.json``.
+
+The names below are re-exported lazily (PEP 562): every ``Module`` in
+``repro.nn``, ``repro.core`` and the baselines imports its shape contracts
+from :mod:`repro.analysis.spec`, which loads this package, and a process
+that fits, scores or serves a model should not load the analyzers with it.
+Each name's submodule is imported on first access.
 """
 
-from repro.analysis.anomaly import AnomalyError, detect_anomaly
-from repro.analysis.contracts import check_model, input_spec
-from repro.analysis.dataflow import Finding, coverage, propagate
-from repro.analysis.domains import Interval
-from repro.analysis.effects import (
-    ATOMS,
-    EffectAnnotation,
-    EffectSite,
-    RepoModel,
-    analyze_package,
-)
-from repro.analysis.forksafety import FS_RULES, check_fork_safety
-from repro.analysis.purity import (
-    DET_RULES,
-    DETERMINISM_ROOTS,
-    check_roots,
-    det_regressions,
-    effects_report,
-)
-from repro.analysis.gradflow import audit_gradient_flow
-from repro.analysis.lint import Violation, lint_paths, lint_source
-from repro.analysis.spec import ContractError, Dim, TensorSpec, child_contract, merge_dtype
-from repro.analysis.trace import Graph, GraphNode, trace
+import importlib
 
-__all__ = [
-    "AnomalyError",
-    "detect_anomaly",
-    "check_model",
-    "input_spec",
-    "ContractError",
-    "Dim",
-    "TensorSpec",
-    "child_contract",
-    "merge_dtype",
-    "Violation",
-    "lint_paths",
-    "lint_source",
-    "Interval",
-    "Finding",
-    "propagate",
-    "coverage",
-    "Graph",
-    "GraphNode",
-    "trace",
-    "audit_gradient_flow",
-    "ATOMS",
-    "EffectAnnotation",
-    "EffectSite",
-    "RepoModel",
-    "analyze_package",
-    "FS_RULES",
-    "check_fork_safety",
-    "DET_RULES",
-    "DETERMINISM_ROOTS",
-    "check_roots",
-    "det_regressions",
-    "effects_report",
-]
+# Re-exported name -> the submodule that defines it.  ``trace`` (the
+# function) is not re-exported: it shares its name with its submodule,
+# which would shadow it once loaded; import it from
+# ``repro.analysis.trace``.
+_EXPORTS = {
+    "AnomalyError": "anomaly",
+    "detect_anomaly": "anomaly",
+    "check_model": "contracts",
+    "input_spec": "contracts",
+    "ContractError": "spec",
+    "Dim": "spec",
+    "TensorSpec": "spec",
+    "child_contract": "spec",
+    "merge_dtype": "spec",
+    "Violation": "lint",
+    "lint_paths": "lint",
+    "lint_source": "lint",
+    "Interval": "domains",
+    "Finding": "dataflow",
+    "propagate": "dataflow",
+    "coverage": "dataflow",
+    "Graph": "trace",
+    "GraphNode": "trace",
+    "audit_gradient_flow": "gradflow",
+    "ATOMS": "effects",
+    "EffectAnnotation": "effects",
+    "EffectSite": "effects",
+    "RepoModel": "effects",
+    "analyze_package": "effects",
+    "FS_RULES": "forksafety",
+    "check_fork_safety": "forksafety",
+    "DET_RULES": "purity",
+    "DETERMINISM_ROOTS": "purity",
+    "check_roots": "purity",
+    "det_regressions": "purity",
+    "effects_report": "purity",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value

@@ -70,16 +70,14 @@ Rules
     ...``) or ``buf.fill(value)``.  Loop-filled buffers should use
     ``np.zeros`` or carry an explicit ``# noqa: REP110`` after review.
 
-``REP111`` remediation action without a declared timeout/idempotency
-    Every :class:`~repro.runtime.remediation.actions.Action` subclass in
-    ``src/`` must declare a positive literal ``timeout_ticks`` and
-    ``idempotent = True`` — the registration decorator enforces this at
-    import time, and the lint enforces it statically so a violation never
-    reaches an import.  The rule also flags ``time.sleep(<literal>)``
-    inside a ``for``/``while`` body in library code: a bare sleep-retry
-    loop is an unbounded, untracked remediation — use the tick-driven
-    :class:`~repro.runtime.remediation.actions.ActionRunner` timeout
-    machinery (or the orchestrator's deadline plumbing) instead.
+``REP111`` bare ``time.sleep`` retry loop in library code
+    ``time.sleep(<literal>)`` inside a ``for``/``while`` body in ``src/``
+    is a retry loop with a fixed delay and no deadline: it waits
+    forever on a peer that never recovers and hides how long it waited.
+    Bound the wait with the orchestrator's deadline plumbing (per-attempt
+    deadlines, seeded backoff) or the gateway's timeouts instead.  A
+    computed delay (``time.sleep(delay)``) is a deliberate backoff and
+    passes.
 
 ``REP112`` bare stdlib ``random.*`` call
     The stdlib ``random`` module is one hidden global stream, exactly
@@ -110,9 +108,9 @@ Rules
 ``REP114`` event kind not declared in the schema registry
     The event log is only replayable because every ``kind`` string has a
     declared field schema in ``repro.obs.events.EVENT_KINDS`` — the
-    report, the ops console, and the remediation controller all dispatch
-    on it.  An ``emit("new_kind", ...)`` whose kind is missing from the
-    registry produces events that every offline consumer silently drops.
+    report and the ops console both dispatch on it.  An
+    ``emit("new_kind", ...)`` whose kind is missing from the registry
+    produces events that every offline consumer silently drops.
     In ``src/``, any ``emit`` / ``emit_event`` / ``._emit`` / ``.emit``
     / ``.append`` call whose first argument is a string literal must use
     a kind declared in ``EVENT_KINDS``.  Variable kinds (forwarding
@@ -149,8 +147,8 @@ RULES = {
               "CLI output helper)",
     "REP110": "np.empty/np.empty_like not fully initialized by the next "
               "statement",
-    "REP111": "remediation action without declared timeout/idempotency, or "
-              "a bare time.sleep retry loop in library code",
+    "REP111": "bare time.sleep(<literal>) retry loop in library code (no "
+              "deadline)",
     "REP112": "bare stdlib random.* call in library code (thread an "
               "explicit numpy Generator instead)",
     "REP113": "unbounded queue (no maxsize) or blocking put() without a "
@@ -548,59 +546,13 @@ def _check_uninitialized_empty(tree: ast.AST, path: str,
         ))
 
 
-def _class_level_assignments(node: ast.ClassDef) -> dict:
-    """Class-body ``name = value`` bindings (plain and annotated)."""
-    assigns: dict = {}
-    for item in node.body:
-        if isinstance(item, ast.Assign):
-            for target in item.targets:
-                if isinstance(target, ast.Name):
-                    assigns[target.id] = item.value
-        elif (isinstance(item, ast.AnnAssign)
-              and isinstance(item.target, ast.Name)
-              and item.value is not None):
-            assigns[item.target.id] = item.value
-    return assigns
-
-
-def _is_positive_int_literal(node: ast.expr | None) -> bool:
-    return (isinstance(node, ast.Constant)
-            and isinstance(node.value, int)
-            and not isinstance(node.value, bool)
-            and node.value >= 1)
-
-
-def _check_remediation_actions(tree: ast.AST, path: str,
-                               out: List[Violation]) -> None:
+def _check_bare_sleep_loop(tree: ast.AST, path: str,
+                           out: List[Violation]) -> None:
     normalized = path.replace("\\", "/")
     if "/src/" not in f"/{normalized}":
         return
-    # (a) Action subclasses must declare the obligations the runtime
-    # registry enforces — statically, so the violation never imports.
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        if "Action" not in _module_bases(node):
-            continue
-        assigns = _class_level_assignments(node)
-        if not _is_positive_int_literal(assigns.get("timeout_ticks")):
-            out.append(Violation(
-                path, node.lineno, node.col_offset, "REP111",
-                f"remediation action {node.name} must declare a positive "
-                "literal timeout_ticks; an unbounded action wedges the "
-                "control loop",
-            ))
-        idempotent = assigns.get("idempotent")
-        if not (isinstance(idempotent, ast.Constant)
-                and idempotent.value is True):
-            out.append(Violation(
-                path, node.lineno, node.col_offset, "REP111",
-                f"remediation action {node.name} must declare "
-                "idempotent = True; timed-out actions are retried and must "
-                "be safe to re-run",
-            ))
-    # (b) time.sleep(<literal>) inside a loop body: a bare sleep-retry
-    # loop is an unbounded remediation outside the timeout machinery.
+    # time.sleep(<literal>) inside a loop body: a fixed-delay retry loop
+    # with no deadline.
     flagged: set = set()
     for node in ast.walk(tree):
         if not isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
@@ -618,8 +570,8 @@ def _check_remediation_actions(tree: ast.AST, path: str,
                 out.append(Violation(
                     path, inner.lineno, inner.col_offset, "REP111",
                     "time.sleep(<literal>) inside a loop is a bare retry "
-                    "loop with no deadline; use tick-based timeouts "
-                    "(ActionRunner) or the orchestrator's deadline plumbing",
+                    "loop with no deadline; bound it with the orchestrator's "
+                    "deadline plumbing",
                 ))
 
 
@@ -829,7 +781,7 @@ _CHECKS = (_check_bare_random, _check_bare_std_random,
            _check_missing_all, _check_bare_except, _check_mutable_default,
            _check_forward_without_contract, _check_blocking_without_timeout,
            _check_bare_print, _check_uninitialized_empty,
-           _check_remediation_actions, _check_unbounded_queue,
+           _check_bare_sleep_loop, _check_unbounded_queue,
            _check_undeclared_event_kind)
 
 

@@ -68,7 +68,6 @@ DETERMINISM_ROOTS: Tuple[str, ...] = (
     "repro.core.detector.MaceDetector.score",
     "repro.runtime.serving.ServingRuntime.update",
     "repro.runtime.orchestrator.FleetOrchestrator.run",
-    "repro.runtime.remediation.drill.run_drill",
 )
 
 _ATOM_RULES: Dict[str, Tuple[str, str, str]] = {

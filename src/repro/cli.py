@@ -24,11 +24,6 @@ Commands
     Fault-injection drill: stream a fleet through the fault-tolerant
     serving runtime while corrupting observations and scoring calls, and
     report how each service degraded and recovered.
-``drill``
-    Closed-loop remediation drill: script deterministic fault scenarios
-    (plus sabotaged remediation actions) against a synthetic fleet and
-    report whether the detect → diagnose → act → verify loop converged
-    every faulted service back to HEALTHY inside its guardrails.
 ``train-fleet``
     Fault-tolerant fleet training: shard per-group unified-model fits
     across a worker pool with timeouts, retry + checkpoint resume, and
@@ -122,33 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inject one scoring exception per N calls")
     chaos.add_argument("--chaos-seed", type=int, default=0,
                        help="seed of the fault injector (not the dataset)")
-
-    drill = sub.add_parser(
-        "drill",
-        help="closed-loop remediation drill: inject faults, watch the "
-             "controller diagnose, act, and verify recovery",
-    )
-    drill.add_argument("--drill-seed", type=int, default=0,
-                       help="seed deriving the whole drill (scenarios, "
-                            "action faults, data)")
-    drill.add_argument("--services", type=int, default=8)
-    drill.add_argument("--ticks", type=int, default=360,
-                       help="live updates per service")
-    drill.add_argument("--fault-rate", type=float, default=0.6,
-                       help="fraction of services assigned a fault scenario")
-    drill.add_argument("--action-fault-rate", type=float, default=0.3,
-                       help="fraction of faulted services whose remediation "
-                            "actions are themselves sabotaged")
-    drill.add_argument("--events", default=None, metavar="PATH",
-                       help="write the remediation event log (JSONL) here "
-                            "(render with `repro obs report`)")
-    drill.add_argument("--json", action="store_true",
-                       help="emit the report as JSON instead of a table")
-    drill.add_argument("--min-converged", type=float, default=None,
-                       metavar="FRACTION",
-                       help="exit nonzero unless at least this fraction of "
-                            "faulted services converged (and no guardrail "
-                            "violations occurred)")
 
     fleet = sub.add_parser(
         "train-fleet",
@@ -623,27 +591,6 @@ def _cmd_check_model(args) -> int:
     return 0
 
 
-def _cmd_drill(args) -> int:
-    from repro.runtime.remediation import DrillConfig, run_drill
-
-    config = DrillConfig(seed=args.drill_seed, num_services=args.services,
-                         ticks=args.ticks, fault_rate=args.fault_rate,
-                         action_fault_rate=args.action_fault_rate,
-                         events_path=args.events)
-    report = run_drill(config)
-    _out(report.to_json() if args.json else report.to_table())
-    if args.min_converged is not None:
-        if report.violations > 0:
-            _out(f"FAIL: {report.violations} guardrail violation(s)",
-                 file=sys.stderr)
-            return 1
-        if report.converged_fraction < args.min_converged:
-            _out(f"FAIL: converged {report.converged_fraction:.0%} < "
-                 f"required {args.min_converged:.0%}", file=sys.stderr)
-            return 1
-    return 0
-
-
 def _gateway_fleet(args):
     from repro.runtime.gateway import ZScoreDetector, make_fleet_series
 
@@ -819,7 +766,6 @@ _COMMANDS = {
     "analyze": _cmd_analyze,
     "analyze-data": _cmd_analyze_data,
     "chaos": _cmd_chaos,
-    "drill": _cmd_drill,
     "serve": _cmd_serve,
     "traffic": _cmd_traffic,
     "train-fleet": _cmd_train_fleet,

@@ -67,20 +67,6 @@ EVENT_KINDS = frozenset({
     "retry",                 # group, attempt, backoff_seconds
     "group_done",            # group, epochs, final_loss, rewinds
     "group_failed",          # group, error
-    # Closed-loop remediation (repro.runtime.remediation)
-    "incident_open",         # incident, service, tick, trigger
-    "diagnosis",             # incident, service, tick, alert_class, reason
-    "policy_decision",       # incident, service, tick, allowed, action
-    "action_start",          # incident, service, action, rung, tick
-    "action_end",            # incident, service, action, outcome, tick
-    "action_fault",          # service, fault_kind, action, tick (injected)
-    "action_timeout",        # service, action, tick, started_tick, budget
-    "action_rollback",       # incident, service, action, tick, reason
-    "verification_failed",   # incident, service, tick, reason
-    "remediation_verified",  # incident, service, tick, dwell
-    "incident_resolved",     # incident, service, tick, actions
-    "incident_escalated",    # incident, service, tick, actions
-    "page",                  # service, tick, reason
     # Serving gateway (repro.runtime.gateway)
     "worker_spawn",          # shard, respawns, slow_start
     "worker_ready",          # shard, applied
@@ -102,7 +88,7 @@ class EventLog:
     """
 
     def __init__(self, path: Optional[str | Path] = None, *,
-                 keep: int = 4096, clock: Callable[[], float] = time.time):  # effects: ok TIME reason=wall-clock is the default timestamp; drills inject a virtual clock
+                 keep: int = 4096, clock: Callable[[], float] = time.time):  # effects: ok TIME reason=wall-clock is the default timestamp; tests inject a virtual clock
         self.path = Path(path) if path is not None else None
         self.tail: deque = deque(maxlen=keep)
         self._clock = clock

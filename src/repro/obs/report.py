@@ -12,10 +12,6 @@ JSONL artifacts alone — the orchestrator's ``events.jsonl``, each group's
   seconds and non-finite-batch skips;
 * **phase breakdown** — aggregated spans: where wall time went
   (``fit/epoch/batch`` and friends);
-* **remediation incidents / timeline** — the closed-loop remediation
-  story: per incident, the diagnosis, the actions tried with their
-  outcomes, and whether recovery verified or escalated, plus the
-  tick-ordered event stream;
 * **serving gateway** — ack/duplicate/rejection counters with the ack
   latency quantiles, per-shard WAL/spawn/failover/replay counts, and
   the overload-ladder transitions, from a gateway run directory.
@@ -112,7 +108,6 @@ def render_report(directory: str | Path) -> str:
     telemetry = load_run(directory)
     sections = []
     for renderer in (_render_attempts, _render_epochs, _render_phases,
-                     _render_remediation, _render_remediation_timeline,
                      _render_gateway, _render_exemplars):
         text = renderer(telemetry)
         if text:
@@ -214,95 +209,6 @@ def _render_phases(telemetry: RunTelemetry) -> Optional[str]:
     return _format_table(
         ("phase", "count", "total s", "mean ms"),
         rows, title="phase breakdown (spans)")
-
-
-_REMEDIATION_KINDS = frozenset({
-    "incident_open", "diagnosis", "policy_decision", "action_start",
-    "action_end", "action_fault", "action_timeout", "action_rollback",
-    "verification_failed", "remediation_verified", "incident_resolved",
-    "incident_escalated", "page",
-})
-
-
-def _remediation_events(telemetry: RunTelemetry) -> List[dict]:
-    events = [e for e in telemetry.fleet_events
-              if e.get("kind") in _REMEDIATION_KINDS]
-    for group_events in telemetry.group_events.values():
-        events.extend(e for e in group_events
-                      if e.get("kind") in _REMEDIATION_KINDS)
-    return sorted(events, key=lambda e: (e.get("tick", 0), e.get("seq", 0)))
-
-
-def _render_remediation(telemetry: RunTelemetry) -> Optional[str]:
-    """Per-incident summary: diagnosis, actions tried, final disposition."""
-    events = _remediation_events(telemetry)
-    if not events:
-        return None
-    incidents: Dict[str, dict] = {}
-    for event in events:
-        incident_id = event.get("incident")
-        if incident_id is None:
-            continue
-        entry = incidents.setdefault(str(incident_id), {
-            "service": event.get("service", "?"), "opened": None,
-            "diagnosis": "-", "actions": [], "disposition": "open",
-            "closed": None,
-        })
-        kind = event["kind"]
-        if kind == "incident_open":
-            entry["opened"] = event.get("tick")
-        elif kind == "diagnosis":
-            entry["diagnosis"] = event.get("alert_class", "-")
-        elif kind == "action_end":
-            entry["actions"].append(
-                f"{event.get('action')}:{event.get('outcome')}")
-        elif kind == "remediation_verified":
-            entry["disposition"] = "verified"
-        elif kind == "incident_resolved":
-            entry["disposition"] = "resolved"
-            entry["closed"] = event.get("tick")
-        elif kind == "incident_escalated":
-            entry["disposition"] = "escalated"
-            entry["closed"] = event.get("tick")
-    if not incidents:
-        return None
-    rows = []
-    for incident_id in sorted(incidents):
-        entry = incidents[incident_id]
-        opened, closed = entry["opened"], entry["closed"]
-        ticks = (closed - opened
-                 if opened is not None and closed is not None else "-")
-        rows.append((
-            incident_id, entry["service"], entry["diagnosis"],
-            " -> ".join(entry["actions"]) or "-",
-            entry["disposition"],
-            opened if opened is not None else "-", ticks,
-        ))
-    return _format_table(
-        ("incident", "service", "diagnosis", "actions", "disposition",
-         "opened", "ticks"),
-        rows, title="remediation incidents")
-
-
-def _render_remediation_timeline(telemetry: RunTelemetry,
-                                 limit: int = 60) -> Optional[str]:
-    """Tick-ordered remediation event stream (most recent ``limit``)."""
-    events = _remediation_events(telemetry)
-    if not events:
-        return None
-    shown = events[-limit:]
-    lines = [f"remediation timeline (last {len(shown)} of {len(events)} "
-             "events)"]
-    for event in shown:
-        detail_keys = ("incident", "action", "alert_class", "outcome",
-                       "fault_kind", "reason")
-        details = " ".join(
-            f"{key}={event[key]}" for key in detail_keys
-            if event.get(key) not in (None, ""))
-        lines.append(f"  tick {event.get('tick', '?'):>5}  "
-                     f"{event.get('kind'):<22} "
-                     f"{event.get('service', '?'):<12} {details}")
-    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------

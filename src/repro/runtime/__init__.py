@@ -27,11 +27,6 @@ needs:
     :class:`FleetOrchestrator` — multiprocess fleet training with
     per-task timeouts, retry + backoff, crash resume, and a structured
     :class:`FleetReport` instead of fail-fast aborts.
-``repro.runtime.remediation``
-    Closed-loop remediation: a controller that diagnoses breaker trips
-    (data quality vs. model staleness vs. anomaly storm), applies typed
-    idempotent remedies under cooldown/blast-radius guardrails, verifies
-    recovery, and escalates to a human when remedies do not hold.
 ``repro.runtime.gateway``
     Durable async serving gateway: consistent-hash sharding onto
     supervised worker processes, per-shard write-ahead logs that make
@@ -56,10 +51,8 @@ from repro.runtime.divergence import (
     robust_spike_threshold,
 )
 from repro.runtime.faults import (
-    ACTION_FAULT_KINDS,
     GATEWAY_FAULT_KINDS,
     WORKER_FAULT_KINDS,
-    ActionFault,
     FaultInjector,
     FaultyDetector,
     GatewayFault,
@@ -97,13 +90,6 @@ from repro.runtime.orchestrator import (
     derive_group_seed,
     train_fleet,
 )
-from repro.runtime.remediation import (
-    DrillConfig,
-    DrillReport,
-    RemediationConfig,
-    RemediationController,
-    run_drill,
-)
 from repro.runtime.serving import ServingRuntime, SpectralFallbackScorer
 
 __all__ = [
@@ -115,13 +101,10 @@ __all__ = [
     "save_streaming_state", "load_streaming_state",
     "FaultInjector", "FaultyDetector", "InjectedFault",
     "WorkerFault", "WORKER_FAULT_KINDS",
-    "ActionFault", "ACTION_FAULT_KINDS",
     "GatewayFault", "GATEWAY_FAULT_KINDS",
     "ServingGateway", "GatewayConfig", "GatewayError", "SubmitResult",
     "ConsistentHashRing", "TenantPolicy",
     "WriteAheadLog", "WalCorruptionError",
-    "RemediationController", "RemediationConfig",
-    "run_drill", "DrillConfig", "DrillReport",
     "DivergenceGuard", "DivergenceError", "DivergenceEvent",
     "robust_spike_threshold",
     "FleetOrchestrator", "FleetConfig", "FleetJob", "FleetReport",

@@ -2,7 +2,7 @@
 
 Everything is driven by one seeded generator, so a chaos run is exactly
 reproducible from its seed: the same observations get corrupted the same
-way and the same scoring calls raise.  Three fault families, matching what
+way and the same scoring calls raise.  Five fault families, matching what
 production actually sees:
 
 * **observation corruption** — NaN, ±Inf, gross spikes, and dropped rows
@@ -18,11 +18,6 @@ production actually sees:
   ``worker_hang``, ``nan_grad``) that the
   :class:`~repro.runtime.orchestrator.FleetOrchestrator` executes inside
   its worker processes;
-* **action faults** — :meth:`FaultInjector.plan_action_faults` draws a
-  deterministic schedule of remediation-path failures (``action_fail``,
-  ``action_hang``, ``recovery_relapse``) so the closed-loop drill
-  harness (:mod:`repro.runtime.remediation.drill`) can chaos-test the
-  remediation machinery itself, not just the scoring path it repairs;
 * **gateway faults** — :meth:`FaultInjector.plan_gateway_faults` draws a
   deterministic schedule of network/queue-level delivery failures
   (``deliver_delayed``, ``deliver_duplicate``, ``deliver_dropped``,
@@ -44,7 +39,6 @@ from repro.core.detector import AnomalyDetector
 
 __all__ = ["InjectedFault", "FaultInjector", "FaultyDetector",
            "WorkerFault", "WORKER_FAULT_KINDS",
-           "ActionFault", "ACTION_FAULT_KINDS",
            "GatewayFault", "GATEWAY_FAULT_KINDS"]
 
 _CORRUPTION_KINDS = ("nan", "inf", "spike", "drop")
@@ -52,8 +46,6 @@ _CORRUPTION_KINDS = ("nan", "inf", "spike", "drop")
 _SPIKE_SCALE = 1e6
 
 WORKER_FAULT_KINDS = ("worker_kill", "worker_hang", "nan_grad")
-
-ACTION_FAULT_KINDS = ("action_fail", "action_hang", "recovery_relapse")
 
 GATEWAY_FAULT_KINDS = ("deliver_delayed", "deliver_duplicate",
                        "deliver_dropped", "worker_slow_start")
@@ -84,35 +76,6 @@ class WorkerFault:
                 f"unknown worker fault kind {self.kind!r}; "
                 f"expected one of {WORKER_FAULT_KINDS}"
             )
-
-
-@dataclass(frozen=True)
-class ActionFault:
-    """One scheduled remediation-action fault for a service.
-
-    ``action_fail`` makes the next launched remediation action fail
-    immediately (the runner records FAILED without executing it);
-    ``action_hang`` makes it never complete, so the runner's declared
-    ``timeout_ticks`` must fire; ``recovery_relapse`` lets the action
-    succeed, then re-breaks the service ``relapse_ticks`` into the
-    verification dwell — the rollback-and-escalate path's own chaos test.
-    ``repeat=False`` fires on the first affected action/verification
-    only; ``repeat=True`` keeps firing and eventually drives the incident
-    up the escalation ladder to its terminal rung.
-    """
-
-    kind: str
-    relapse_ticks: int = 8
-    repeat: bool = False
-
-    def __post_init__(self):
-        if self.kind not in ACTION_FAULT_KINDS:
-            raise ValueError(
-                f"unknown action fault kind {self.kind!r}; "
-                f"expected one of {ACTION_FAULT_KINDS}"
-            )
-        if self.relapse_ticks < 1:
-            raise ValueError("relapse_ticks must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -209,7 +172,6 @@ class FaultInjector:
         self.observations_corrupted = 0
         self.scoring_faults = 0
         self.worker_faults_planned = 0
-        self.action_faults_planned = 0
         self.gateway_faults_planned = 0
 
     # ------------------------------------------------------------------
@@ -296,41 +258,6 @@ class FaultInjector:
                 fault = WorkerFault(kind, epoch=epoch)
             plan[group_id] = fault
             self.worker_faults_planned += 1
-        return plan
-
-    # ------------------------------------------------------------------
-    # Action faults (closed-loop remediation)
-    # ------------------------------------------------------------------
-    def plan_action_faults(self, service_ids: Sequence[str],
-                           fault_rate: float,
-                           kinds: Sequence[str] = ACTION_FAULT_KINDS,
-                           relapse_ticks: int = 8,
-                           repeat: bool = False) -> Dict[str, "ActionFault"]:
-        """Draw a deterministic remediation-fault schedule for a drill.
-
-        The mirror of :meth:`plan_worker_faults` for the remediation
-        path: each service in ``service_ids`` (order matters — it is part
-        of the seeded draw) is assigned an :class:`ActionFault` with
-        probability ``fault_rate``.  The drill harness hands the plan to
-        the :class:`~repro.runtime.remediation.actions.ActionRunner`
-        (``action_fail`` / ``action_hang``) and applies
-        ``recovery_relapse`` itself during the verification dwell.
-        """
-        unknown = sorted(set(kinds) - set(ACTION_FAULT_KINDS))
-        if unknown:
-            raise ValueError(f"unknown action fault kinds: {unknown}")
-        if not kinds:
-            raise ValueError("need at least one action fault kind")
-        if not 0.0 <= fault_rate <= 1.0:
-            raise ValueError("fault_rate must be in [0, 1]")
-        plan: Dict[str, ActionFault] = {}
-        for service_id in service_ids:
-            if self._rng.random() >= fault_rate:
-                continue
-            kind = kinds[int(self._rng.integers(len(kinds)))]
-            plan[service_id] = ActionFault(kind, relapse_ticks=relapse_ticks,
-                                           repeat=repeat)
-            self.action_faults_planned += 1
         return plan
 
     # ------------------------------------------------------------------

@@ -95,32 +95,9 @@ class ServiceHealth:
         return self._tick
 
     @property
-    def last_transition_tick(self) -> int:
-        """Tick of the most recent state transition (0 if none yet)."""
-        return self.transitions[-1][0] if self.transitions else 0
-
-    @property
     def transition_count(self) -> int:
         """Total number of recorded state transitions."""
         return len(self.transitions)
-
-    @property
-    def ticks_in_state(self) -> int:
-        """How many ticks the service has spent in its current state."""
-        return self._tick - self.last_transition_tick
-
-    def transitions_in_window(self, window: int) -> int:
-        """Transitions recorded in the most recent ``window`` ticks.
-
-        The flapping-suppression input: a service that keeps bouncing
-        between states faster than remediation can verify it should be
-        escalated, not re-remediated.
-        """
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        horizon = self._tick - window
-        return sum(1 for tick, _, _ in reversed(self.transitions)
-                   if tick > horizon)
 
     def allow_model(self) -> bool:
         """Should this update try the real model path?
@@ -178,32 +155,6 @@ class ServiceHealth:
         elif self.state is HealthState.HEALTHY:
             self._transition(HealthState.DEGRADED)
         self._probing = False
-
-    def reset_probe(self) -> None:
-        """Collapse the probe backoff and allow the next update to probe.
-
-        The remediation layer's ``reset_breaker`` action: after acting on
-        the suspected root cause it wants an immediate re-probe instead of
-        waiting out a (possibly maxed-out) backoff window.  Outside
-        quarantine this only resets the backoff bookkeeping.
-        """
-        self._backoff = self.config.base_backoff
-        self.consecutive_failures = 0
-        if self.state is HealthState.QUARANTINED:
-            self._next_probe_tick = self._tick + 1
-
-    def force_quarantine(self) -> None:
-        """Quarantine the service regardless of its failure counters.
-
-        The terminal escalation rung (``quarantine_and_page``): scoring is
-        routed to the fallback path and the model is only re-admitted via
-        the normal probe ladder.
-        """
-        if self.state is not HealthState.QUARANTINED:
-            self._transition(HealthState.QUARANTINED)
-            self._backoff = self.config.base_backoff
-            self._next_probe_tick = self._tick + self._backoff
-        self.consecutive_successes = 0
 
     def note_degraded_input(self) -> None:
         """Sanitizer had to fabricate data (gap) — degrade a healthy service."""

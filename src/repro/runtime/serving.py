@@ -22,7 +22,7 @@ swallowing those would hide real bugs.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -152,8 +152,6 @@ class ServingRuntime:
         self._latency: Dict[str, object] = {}   # per-service histograms
         self._reported_transitions: Dict[str, int] = {}
         self._applied_sequence: Dict[str, int] = {}  # at-least-once high water
-        self._listeners: List[Callable[[str, int, HealthState, HealthState],
-                                       None]] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -184,27 +182,21 @@ class ServingRuntime:
     def health(self, service_id: str) -> ServiceHealth:
         return self._health[service_id]
 
-    def fallback(self, service_id: str) -> SpectralFallbackScorer:
-        """The service's calibrated degraded-mode scorer."""
-        return self._fallbacks[service_id]
-
-    def subscribe(self, listener: Callable[[str, int, HealthState,
-                                            HealthState], None]) -> None:
-        """Register a health-transition listener.
-
-        ``listener(service_id, tick, from_state, to_state)`` is invoked
-        once per recorded transition, after the transition's metrics and
-        events have been emitted — the hook the closed-loop remediation
-        controller subscribes through.  Listener exceptions propagate:
-        a broken control plane is a programming error, not a scoring
-        fault to absorb.
-        """
-        self._listeners.append(listener)
-
     def health_states(self) -> Dict[str, HealthState]:
         """Current state of every service (fleet dashboard view)."""
         return {service_id: health.state
                 for service_id, health in self._health.items()}
+
+    def current_window(self, service_id: str) -> Optional[np.ndarray]:
+        """The service's buffered ``(window, features)`` view, if full."""
+        stream = self.streaming._streams.get(service_id)
+        if stream is None:
+            raise KeyError(
+                f"service {service_id!r} not started; call start_service()"
+            )
+        if stream.filled < self.window:
+            return None
+        return stream.buffer.copy()
 
     # ------------------------------------------------------------------
     # The loop
@@ -348,10 +340,6 @@ class ServingRuntime:
                 emit("breaker_trip", service=service_id,
                      failures=health.total_failures, tick=tick)
         self._reported_transitions[service_id] = len(health.transitions)
-        for index in range(reported, len(health.transitions)):
-            tick, from_state, to_state = health.transitions[index]
-            for listener in self._listeners:
-                listener(service_id, tick, from_state, to_state)
 
     def _update(self, service_id: str,
                 observation: Optional[np.ndarray],
@@ -415,72 +403,6 @@ class ServingRuntime:
             imputed_features=report.imputed_features,
             clipped_features=report.clipped_features,
         )
-
-    # ------------------------------------------------------------------
-    # Remediation action surface — the typed operations the closed-loop
-    # controller (repro.runtime.remediation) is allowed to perform.  Each
-    # is idempotent: re-running with the same inputs reaches the same
-    # state, so a timed-out action can be retried safely.
-    # ------------------------------------------------------------------
-    def current_window(self, service_id: str) -> Optional[np.ndarray]:
-        """The service's buffered ``(window, features)`` view, if full."""
-        stream = self.streaming._streams.get(service_id)
-        if stream is None:
-            raise KeyError(
-                f"service {service_id!r} not started; call start_service()"
-            )
-        if stream.filled < self.window:
-            return None
-        return stream.buffer.copy()
-
-    def recalibrate_sanitizer(self, service_id: str,
-                              history: np.ndarray) -> Sanitizer:
-        """Refit the service's sanitizer from recent clean history.
-
-        Returns the *previous* sanitizer so the caller can roll back.
-        """
-        previous = self._sanitizers[service_id]
-        self._sanitizers[service_id] = Sanitizer(
-            self.sanitizer_config).fit(self._clean_history(
-                np.atleast_2d(np.asarray(history, dtype=float))))
-        return previous
-
-    def swap_sanitizer(self, service_id: str,
-                       sanitizer: Sanitizer) -> Sanitizer:
-        """Install a sanitizer (rollback path); returns the replaced one."""
-        if service_id not in self._sanitizers:
-            raise KeyError(f"service {service_id!r} not started")
-        previous = self._sanitizers[service_id]
-        self._sanitizers[service_id] = sanitizer
-        return previous
-
-    def reset_breaker(self, service_id: str) -> None:
-        """Collapse the breaker backoff and allow an immediate re-probe."""
-        self._health[service_id].reset_probe()
-
-    def reprepare_service(self, service_id: str,
-                          history: np.ndarray) -> None:
-        """Re-characterize one service from recent clean history.
-
-        The hot-swap half of a per-service "retrain": the detector's
-        per-service calibration (for MACE, the frequency-subspace pattern
-        memory) is refit on the supplied history, and the fallback
-        scorer's reference spectrum is recalibrated to match.  The shared
-        model weights are untouched — a full weight refresh goes through
-        :class:`~repro.runtime.orchestrator.FleetOrchestrator` and swaps
-        the whole detector.
-        """
-        history = np.atleast_2d(np.asarray(history, dtype=float))
-        clean = self._clean_history(history)
-        self.streaming.detector.prepare_service(service_id, clean)
-        if clean.shape[0] >= 2 * self.window:
-            self._fallbacks[service_id] = SpectralFallbackScorer(
-                self.window).fit(clean)
-
-    def quarantine(self, service_id: str) -> None:
-        """Force the service onto the fallback path (terminal escalation)."""
-        self._health[service_id].force_quarantine()
-        self._report_transitions(service_id)
 
     def _clean_history(self, history: np.ndarray) -> np.ndarray:
         """Repair non-finite calibration readings with feature medians."""

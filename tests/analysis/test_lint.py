@@ -1,7 +1,5 @@
 """repro.analysis.lint: each rule fires on a crafted violation, clean passes."""
 
-import textwrap
-
 import pytest
 
 from repro.analysis.lint import RULES, Violation, lint_paths, lint_source, main
@@ -220,85 +218,6 @@ class TestUninitializedEmpty:
     def test_zeros_never_fires(self):
         source = "import numpy as np\nbuf = np.zeros(4)\n"
         assert "REP110" not in _codes(lint_source(source, "src/mod.py"))
-
-
-class TestRemediationActionContract:
-    _PREAMBLE = "class Action:\n    pass\n\n"
-
-    def _action(self, body):
-        return self._PREAMBLE + textwrap.dedent(body)
-
-    def test_compliant_action_passes(self):
-        source = self._action("""
-            class ResetBreaker(Action):
-                name = "reset"
-                timeout_ticks = 8
-                idempotent = True
-        """)
-        assert "REP111" not in _codes(lint_source(source, "src/mod.py"))
-
-    def test_missing_timeout_fires(self):
-        source = self._action("""
-            class NoTimeout(Action):
-                name = "no-timeout"
-                idempotent = True
-        """)
-        assert "REP111" in _codes(lint_source(source, "src/mod.py"))
-
-    def test_bool_timeout_fires(self):
-        # True is an int at runtime, but "timeout_ticks = True" is a typo,
-        # not a budget.
-        source = self._action("""
-            class BoolTimeout(Action):
-                name = "bool"
-                timeout_ticks = True
-                idempotent = True
-        """)
-        assert "REP111" in _codes(lint_source(source, "src/mod.py"))
-
-    def test_zero_timeout_fires(self):
-        source = self._action("""
-            class ZeroTimeout(Action):
-                name = "zero"
-                timeout_ticks = 0
-                idempotent = True
-        """)
-        assert "REP111" in _codes(lint_source(source, "src/mod.py"))
-
-    def test_missing_idempotent_fires(self):
-        source = self._action("""
-            class NotIdempotent(Action):
-                name = "effectful"
-                timeout_ticks = 8
-        """)
-        assert "REP111" in _codes(lint_source(source, "src/mod.py"))
-
-    def test_annotated_constants_count(self):
-        source = self._action("""
-            class Annotated(Action):
-                name = "annotated"
-                timeout_ticks: int = 8
-                idempotent: bool = True
-        """)
-        assert "REP111" not in _codes(lint_source(source, "src/mod.py"))
-
-    def test_non_action_class_exempt(self):
-        source = "class Widget:\n    pass\n"
-        assert "REP111" not in _codes(lint_source(source, "src/mod.py"))
-
-    def test_tests_are_exempt(self):
-        source = self._action("""
-            class NoTimeout(Action):
-                name = "n"
-                idempotent = True
-        """)
-        assert "REP111" not in _codes(lint_source(source, "tests/test_x.py"))
-
-    def test_noqa_suppresses(self):
-        source = (self._PREAMBLE
-                  + "class NoTimeout(Action):  # noqa: REP111\n"
-                  + "    idempotent = True\n")
-        assert "REP111" not in _codes(lint_source(source, "src/mod.py"))
 
 
 class TestBareSleepRetryLoop:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.runtime import ActionFault, FaultInjector, InjectedFault
+from repro.runtime import FaultInjector, InjectedFault
 from tests.runtime.test_serving import ScriptedDetector
 
 
@@ -94,57 +94,6 @@ class TestStorageFaults:
     def test_bad_fraction_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             FaultInjector(seed=0).truncate_file(tmp_path / "x", 1.0)
-
-
-class TestActionFaultPlanning:
-    """plan_action_faults mirrors plan_worker_faults: seeded and orderly."""
-
-    def _plan(self, seed=0, rate=0.5, **kwargs):
-        injector = FaultInjector(seed=seed)
-        services = [f"svc-{i}" for i in range(20)]
-        return injector.plan_action_faults(services, rate, **kwargs), injector
-
-    def test_same_seed_same_plan(self):
-        first, _ = self._plan(seed=7)
-        second, _ = self._plan(seed=7)
-        assert first == second
-
-    def test_different_seed_differs(self):
-        first, _ = self._plan(seed=7)
-        second, _ = self._plan(seed=8)
-        assert first != second
-
-    def test_rate_bounds(self):
-        empty, injector = self._plan(rate=0.0)
-        assert empty == {}
-        assert injector.action_faults_planned == 0
-        full, injector = self._plan(rate=1.0)
-        assert len(full) == 20
-        assert injector.action_faults_planned == 20
-
-    def test_kind_subset_respected(self):
-        plan, _ = self._plan(rate=1.0, kinds=("action_hang",))
-        assert {fault.kind for fault in plan.values()} == {"action_hang"}
-
-    def test_relapse_and_repeat_forwarded(self):
-        plan, _ = self._plan(rate=1.0, relapse_ticks=5, repeat=True)
-        assert all(f.relapse_ticks == 5 and f.repeat for f in plan.values())
-
-    def test_unknown_kind_rejected(self):
-        injector = FaultInjector()
-        with pytest.raises(ValueError):
-            injector.plan_action_faults(["a"], 0.5, kinds=("explode",))
-        with pytest.raises(ValueError):
-            ActionFault("explode")
-
-    def test_bad_parameters_rejected(self):
-        injector = FaultInjector()
-        with pytest.raises(ValueError):
-            injector.plan_action_faults(["a"], 1.5)
-        with pytest.raises(ValueError):
-            injector.plan_action_faults(["a"], 0.5, kinds=())
-        with pytest.raises(ValueError):
-            ActionFault("recovery_relapse", relapse_ticks=0)
 
 
 class TestNanServices:

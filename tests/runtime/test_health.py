@@ -166,31 +166,6 @@ class TestProbeLifecycle:
         _drive(health, [True])
         assert health.state is HealthState.HEALTHY
 
-    def test_reset_probe_collapses_backoff_and_schedules_probe(self):
-        health = _health(base_backoff=4, max_backoff=64)
-        _drive(health, [False, False, False])
-        _drive(health, [False] * 40)                # backoff well past base
-        health.reset_probe()
-        assert health._backoff == health.config.base_backoff
-        allowed = _drive(health, [True, True])
-        assert allowed[0], "reset_probe must allow the very next update"
-
-    def test_reset_probe_outside_quarantine_only_resets_bookkeeping(self):
-        health = _health()
-        _drive(health, [False])                     # DEGRADED
-        health.reset_probe()
-        assert health.consecutive_failures == 0
-        assert health.state is HealthState.DEGRADED
-
-    def test_force_quarantine(self):
-        health = _health(base_backoff=4)
-        _drive(health, [True, True])
-        health.force_quarantine()
-        assert health.state is HealthState.QUARANTINED
-        assert health.consecutive_successes == 0
-        allowed = _drive(health, [True] * 4)
-        assert allowed == [False, False, False, True]
-
 
 class TestTelemetryProperties:
     def test_tick_and_transition_counters(self):
@@ -198,37 +173,3 @@ class TestTelemetryProperties:
         _drive(health, [True, False, True, True])
         assert health.tick_count == 4
         assert health.transition_count == 1          # healthy -> degraded
-        assert health.last_transition_tick == 2
-
-    def test_ticks_in_state(self):
-        health = _health()
-        _drive(health, [True, True, False, True])
-        # Transition at tick 3, now at tick 4: one tick in DEGRADED.
-        assert health.ticks_in_state == 1
-        _drive(health, [True])
-        assert health.ticks_in_state == 2
-        # The third consecutive success recovers to HEALTHY at tick 6 —
-        # the dwell counter restarts with the new state.
-        _drive(health, [True])
-        assert health.state is HealthState.HEALTHY
-        assert health.ticks_in_state == 0
-        assert health.last_transition_tick == 6
-
-    def test_transitions_in_window(self):
-        health = _health(recovery_successes=1)
-        # Flap: fail -> recover -> fail -> recover.
-        _drive(health, [False, True, False, True])
-        assert health.transitions_in_window(4) == 4
-        assert health.transitions_in_window(2) == 2
-        assert health.transitions_in_window(1) == 1
-
-    def test_transitions_in_window_validates(self):
-        with pytest.raises(ValueError):
-            _health().transitions_in_window(0)
-
-    def test_no_transitions_yet(self):
-        health = _health()
-        _drive(health, [True, True])
-        assert health.last_transition_tick == 0
-        assert health.ticks_in_state == 2
-        assert health.transitions_in_window(10) == 0

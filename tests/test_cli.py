@@ -318,6 +318,7 @@ class TestObsTopOnServingRuntime:
     def test_quarantined_service_shows_its_state(self, tmp_path, capsys):
         from repro.obs.events import EventLog, install_event_log
         from repro.obs.metrics import MetricsRegistry
+        from repro.runtime.faults import FaultInjector, FaultyDetector
         from repro.runtime.gateway.traffic import (
             ZScoreDetector,
             make_fleet_series,
@@ -326,8 +327,10 @@ class TestObsTopOnServingRuntime:
 
         fleet = make_fleet_series(2, history_len=96, updates=3)
         service_ids = sorted(fleet)
-        detector = ZScoreDetector().fit(
-            service_ids, [fleet[sid][:96] for sid in service_ids])
+        detector = FaultyDetector(
+            ZScoreDetector().fit(
+                service_ids, [fleet[sid][:96] for sid in service_ids]),
+            FaultInjector(seed=0, raise_prob=0.0))
         registry = MetricsRegistry()
         runtime = ServingRuntime(detector, window=16, registry=registry)
         with EventLog(tmp_path / "events.jsonl",
@@ -336,9 +339,12 @@ class TestObsTopOnServingRuntime:
             try:
                 for sid in service_ids:
                     runtime.start_service(sid, fleet[sid][:96])
+                # An outage on svc-1: its three updates fail to score,
+                # the third trips the breaker (failure_threshold 3).
+                detector.fail_services.add("svc-1")
+                for sid in service_ids:
                     for row in fleet[sid][96:]:
                         runtime.update(sid, row)
-                runtime.quarantine("svc-1")
             finally:
                 install_event_log(previous)
         registry.dump(tmp_path / "metrics.jsonl")
