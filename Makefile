@@ -1,6 +1,7 @@
 # Developer entry points.  The tier-1 gate is `make check`: the repository
-# linter must be clean, the static and determinism analyzers must report
-# nothing outside their committed baselines, the full test suite must pass,
+# linter must be clean, the model-graph and determinism analyzers must
+# report no unaudited finding and exactly the audited findings of
+# analysis_baseline.json, the full test suite must pass,
 # the chaos suites must survive their fixed seed matrices, the
 # disabled-path telemetry overhead must stay within its
 # effective budget, max(3%, 10 ms / baseline), and the detection-quality
@@ -11,35 +12,29 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint analyze analyze-baseline det-check det-baseline test \
+.PHONY: check lint analyze analyze-baseline test \
         chaos chaos-train chaos-serve check-model obs-overhead \
         quality bench help
 
-check: lint analyze det-check test chaos chaos-train chaos-serve \
+check: lint analyze test chaos chaos-train chaos-serve \
        obs-overhead quality
 
 lint:
 	$(PYTHON) -m repro.analysis.lint
 
-# Abstract interpretation of every shipped model graph; any finding not in
-# analysis_baseline.json (errors: ever) fails the build.
+# One gate over two analyzers: abstract interpretation of every shipped
+# model graph, and the effect analyzer over the repro package itself
+# (every declared determinism root must be pure modulo declared seeds;
+# fork safety of the multiprocessing layers).  Any unaudited finding
+# fails; the audited findings must match analysis_baseline.json
+# *exactly* — a new one is an unreviewed `# analyzer: ok` /
+# `# effects: ok`, a vanished one is silent coverage loss (or a real
+# fix: run `make analyze-baseline`).
 analyze:
 	$(PYTHON) -m repro analyze --baseline analysis_baseline.json
 
 analyze-baseline:
 	$(PYTHON) -m repro analyze --update-baseline --baseline analysis_baseline.json
-
-# Determinism & effect analyzer over the repro package itself: every
-# declared determinism root must be pure modulo declared seeds.  Zero
-# unaudited DET/FS findings ever; the audited set must match
-# det_baseline.json *exactly* — a new audited finding is an unreviewed
-# annotation, a vanished one is silent coverage loss (or a real fix:
-# run `make det-baseline`).
-det-check:
-	$(PYTHON) -m repro analyze --effects --baseline det_baseline.json
-
-det-baseline:
-	$(PYTHON) -m repro analyze --effects --update-baseline --baseline det_baseline.json
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -94,14 +89,13 @@ bench:
 	$(PYTHON) benchmarks/suite/run.py --compare benchmarks/suite/baseline.json .bench_build/bench.json
 
 help:
-	@echo "make check            - lint + analyze + det-check + test + chaos +"
+	@echo "make check            - lint + analyze + test + chaos +"
 	@echo "                        chaos-train + chaos-serve +"
 	@echo "                        obs-overhead + quality (tier-1 gate)"
 	@echo "make lint             - repo linter (repro.analysis.lint)"
-	@echo "make analyze          - static model-graph analyzer vs committed baseline"
-	@echo "make analyze-baseline - re-accept current analyzer warnings"
-	@echo "make det-check        - determinism/effect analyzer vs det_baseline.json"
-	@echo "make det-baseline     - re-snapshot the audited determinism findings"
+	@echo "make analyze          - model-graph + determinism analyzers vs"
+	@echo "                        analysis_baseline.json (audited set, exact)"
+	@echo "make analyze-baseline - re-snapshot the audited findings"
 	@echo "make test             - pytest"
 	@echo "make chaos            - fault-injection suite (fixed seed matrix)"
 	@echo "make chaos-train      - worker-fault chaos suite (fleet orchestrator)"

@@ -15,9 +15,7 @@ Each tool is usable on its own:
   (``python -m repro.analysis.lint`` or ``repro lint``).
 * :mod:`repro.analysis.dataflow` / :mod:`repro.analysis.gradflow` —
   abstract interpretation of traced autograd graphs (interval × finiteness
-  domain, gradient-flow audit).  ``repro analyze`` drives both over every
-  shipped model; :mod:`repro.analysis.audit` holds that harness (imported
-  lazily — it pulls in the model zoo).
+  domain, gradient-flow audit) over every shipped model.
 * :mod:`repro.analysis.effects` / :mod:`repro.analysis.purity` /
   :mod:`repro.analysis.forksafety` — the determinism analyzer: an
   interprocedural effect system over the ``repro`` package's own AST.
@@ -25,8 +23,12 @@ Each tool is usable on its own:
   ``MaceDetector.score``, serving ``update``, the fleet ``run``) is
   checked against the pure-modulo-seed contract (DET5xx
   findings with provenance chains); the multiprocessing layers get a
-  fork-safety pass (FS6xx).  ``repro analyze --effects`` drives it and
-  gates the audited set against ``det_baseline.json``.
+  fork-safety pass (FS6xx).
+* :mod:`repro.analysis.audit` — ``repro analyze``: runs both analyzers
+  and gates every finding against ``analysis_baseline.json`` (any
+  unaudited finding fails; the audited fingerprints must match its
+  ``audited`` set exactly).  Imported on its own — it pulls in the
+  model zoo.
 
 The names below are re-exported lazily (PEP 562): every ``Module`` in
 ``repro.nn``, ``repro.core`` and the baselines imports its shape contracts
@@ -71,7 +73,6 @@ _EXPORTS = {
     "DET_RULES": "purity",
     "DETERMINISM_ROOTS": "purity",
     "check_roots": "purity",
-    "det_regressions": "purity",
     "effects_report": "purity",
 }
 

@@ -1,4 +1,4 @@
-"""Model audit drivers for ``repro analyze``.
+"""``repro analyze``: the model-graph audit, the effect analyzer, one gate.
 
 For each shipped model (the full MACE detector plus every baseline in
 :data:`repro.baselines.ALL_BASELINES`) this module builds the model at its
@@ -11,10 +11,24 @@ JumpStarter is the one registered baseline with no autograd graph (it is a
 compressed-sensing method, not a neural model); it appears in the report
 as explicitly skipped rather than silently missing.
 
-Regression policy: finding *fingerprints* — ``rule|model|module_path|op|
-file-basename``, deliberately excluding line numbers and messages — are
-compared against a committed baseline file.  Warnings whose fingerprint is
-accepted by the baseline pass; **errors always fail**, baseline or not.
+:func:`analyze` adds the determinism and fork-safety passes over the
+``repro`` package itself (:func:`repro.analysis.purity.effects_report`)
+and :func:`gate` holds every resulting :class:`Finding` to one rule.
+Finding *fingerprints* — ``rule|model|module_path|op|file-basename``,
+deliberately excluding line numbers and messages — are compared against
+the ``audited`` set of a committed baseline file
+(``analysis_baseline.json``):
+
+* an *unaudited* finding (no ``# analyzer: ok`` / ``# effects: ok`` on
+  its line), error or warning, always fails;
+* an audited finding whose fingerprint the baseline does not list is an
+  annotation nobody reviewed, and fails;
+* a listed fingerprint with no current finding has *vanished* — fixed
+  (rewrite the baseline) or lost analyzer coverage — and fails too.
+
+The fingerprint carries the model (or determinism root), so an audit
+on a shared line — ``layer_norm``'s centering, say — covers only the
+models the baseline names.
 """
 
 from __future__ import annotations
@@ -22,7 +36,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,18 +45,17 @@ from repro.analysis.gradflow import audit_gradient_flow
 from repro.analysis.trace import trace
 
 __all__ = [
+    "analyze",
     "audit_models",
     "available_models",
     "fingerprint",
+    "gate",
     "load_baseline",
-    "load_fingerprints",
-    "new_findings",
     "write_baseline",
-    "write_fingerprints",
     "BASELINE_VERSION",
 ]
 
-BASELINE_VERSION = 1
+BASELINE_VERSION = 2
 
 _SYNTH_FEATURES = 3
 _SYNTH_BATCH = 2
@@ -127,10 +140,10 @@ def available_models() -> List[str]:
 
 def audit_models(models: Optional[Sequence[str]] = None,
                  envelope: float = 1e3) -> dict:
-    """Run the analyzer over the requested models (default: all).
+    """Run the graph analyzer over the requested models (default: all).
 
-    Returns the full report dict (the ``--json`` payload): per-model node
-    counts, findings, uncovered ops, and timing, plus a summary.
+    Returns the report dict (the graph half of :func:`analyze`): per-model
+    node counts, findings, uncovered ops, and timing, plus a summary.
     """
     from repro.baselines import ALL_BASELINES
 
@@ -171,75 +184,77 @@ def audit_models(models: Optional[Sequence[str]] = None,
             "seconds": round(time.perf_counter() - started, 3),
         })
 
-    active = [f for f in all_findings if not f.suppressed]
-    report = {
-        "version": BASELINE_VERSION,
-        "envelope": envelope,
-        "models": report_models,
-        "summary": {
-            "errors": sum(f.severity == "error" for f in active),
+    return {"version": BASELINE_VERSION, "envelope": envelope,
+            "models": report_models, "summary": _summary(all_findings),
+            "_findings": all_findings}  # live objects, stripped before JSON
+
+
+def _summary(findings: Sequence[Finding]) -> Dict[str, int]:
+    active = [f for f in findings if not f.suppressed]
+    return {"errors": sum(f.severity == "error" for f in active),
             "warnings": sum(f.severity == "warn" for f in active),
-            "suppressed": sum(f.suppressed for f in all_findings),
-        },
-    }
-    report["_findings"] = all_findings  # live objects, stripped before JSON
-    return report
+            "audited": sum(f.suppressed for f in findings)}
+
+
+def analyze() -> dict:
+    """The ``repro analyze`` report: every model graph plus the effect
+    analyzer's determinism roots, one finding list for :func:`gate`."""
+    from repro.analysis.purity import effects_report
+
+    graphs = audit_models()
+    effects = effects_report()
+    findings = graphs["_findings"] + effects["_findings"]
+    return {"version": BASELINE_VERSION, "envelope": graphs["envelope"],
+            "models": graphs["models"], "roots": effects["roots"],
+            "effects": effects["findings"], "summary": _summary(findings),
+            "_findings": findings}
 
 
 # ----------------------------------------------------------------------
-# Fingerprint baseline files
+# The baseline file and the gate
 # ----------------------------------------------------------------------
 
-def load_fingerprints(path: str, key: str, version: int,
-                      kind: str) -> Dict[str, List[str]]:
-    """Read a ``{"version": ..., key: [fingerprint, ...]}`` baseline file.
-
-    The one on-disk format shared by ``analysis_baseline.json``
-    (``accepted_warnings``) and ``det_baseline.json`` (``audited``);
-    ``kind`` names the gate in the version-mismatch error.
-    """
+def load_baseline(path: str) -> List[str]:
+    """The ``audited`` fingerprints of a ``{"version", "audited"}`` file."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    if data.get("version") != version:
+    if data.get("version") != BASELINE_VERSION:
         raise ValueError(
-            f"{kind} baseline {path} has version {data.get('version')}, "
-            f"expected {version}")
-    return {key: list(data.get(key, []))}
+            f"analyzer baseline {path} has version {data.get('version')}, "
+            f"expected {BASELINE_VERSION}")
+    return list(data.get("audited", []))
 
 
-def write_fingerprints(path: str, key: str, version: int,
-                       findings: Iterable[Finding]) -> None:
-    """Write the sorted, de-duplicated fingerprints of ``findings``."""
-    payload = {"version": version,
-               key: sorted({fingerprint(f) for f in findings})}
+def write_baseline(path: str, report: dict) -> None:
+    """Snapshot the sorted, de-duplicated audited fingerprints."""
+    payload = {"version": BASELINE_VERSION,
+               "audited": sorted({fingerprint(f) for f in report["_findings"]
+                                  if f.suppressed})}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
-def load_baseline(path: str) -> Dict[str, List[str]]:
-    return load_fingerprints(path, "accepted_warnings", BASELINE_VERSION,
-                             "analyzer")
+def gate(report: dict, audited: Iterable[str] = ()
+         ) -> Tuple[List[Finding], List[Finding], List[str]]:
+    """Hold a report to the baseline's ``audited`` fingerprints.
 
+    Returns ``(unaudited, new_audited, vanished)``; the gate passes only
+    when all three are empty:
 
-def write_baseline(path: str, report: dict) -> None:
-    """Accept every current unsuppressed warning; errors are never accepted."""
-    write_fingerprints(path, "accepted_warnings", BASELINE_VERSION, (
-        f for f in report["_findings"]
-        if not f.suppressed and f.severity == "warn"))
-
-
-def new_findings(report: dict,
-                 baseline: Optional[Dict[str, List[str]]] = None
-                 ) -> List[Finding]:
-    """Findings that must fail the build under the given baseline."""
-    accepted = set(baseline["accepted_warnings"]) if baseline else set()
-    failing = []
+    * *unaudited* — findings no annotation covers; they always fail.
+    * *new_audited* — audited findings whose fingerprint ``audited``
+      does not list: an annotation nobody reviewed.
+    * *vanished* — listed fingerprints with no current audited finding:
+      fixed (rewrite the baseline) or lost analyzer coverage.
+    """
+    expected = set(audited)
+    unaudited = [f for f in report["_findings"] if not f.suppressed]
+    current: Dict[str, Finding] = {}
     for finding in report["_findings"]:
         if finding.suppressed:
-            continue
-        if finding.severity == "error":
-            failing.append(finding)
-        elif fingerprint(finding) not in accepted:
-            failing.append(finding)
-    return failing
+            current.setdefault(fingerprint(finding), finding)
+    new_audited = [f for fp, f in sorted(current.items())
+                   if fp not in expected]
+    vanished = sorted(expected - set(current))
+    return unaudited, new_audited, vanished

@@ -51,11 +51,14 @@ skipped — the analyzer is a reviewed gate, not a soundness proof (the
 same stance as the interval analyzer's envelope seeding).
 
 Audited sites carry an ``# effects: ok <ATOM> reason=...`` comment on
-the offending line (the PR-3 ``# analyzer: ok`` pattern): the effect is
-*declared*, not silenced — it still appears in reports, marked audited,
-and :mod:`repro.analysis.purity` gates the audited set against
-``det_baseline.json``.  Annotations are read from real comment tokens
-(``tokenize``), so the marker appearing in a docstring is inert.
+the offending line (the graph analyzer's ``# analyzer: ok`` pattern):
+the effect is *declared*, not silenced — it still appears in reports,
+marked audited, and ``repro analyze`` (:func:`repro.analysis.audit.gate`)
+gates the audited set against ``analysis_baseline.json``.  Imports are
+resolved by the linter's resolver, ``repro.analysis.lint._collect_imports``,
+so both tools read a name the same way.  Annotations are read from real
+comment tokens (``tokenize``), so the marker appearing in a docstring is
+inert.
 Unknown atoms, missing reasons, and annotations matching no detected
 site are surfaced as DET508 by the purity pass.
 """
@@ -68,9 +71,14 @@ import tokenize
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.lint import ALLOWED_NP_RANDOM, ALLOWED_STD_RANDOM
+from repro.analysis.lint import (
+    ALLOWED_NP_RANDOM,
+    ALLOWED_STD_RANDOM,
+    _collect_imports,
+    _dotted,
+)
 
 __all__ = [
     "ATOMS",
@@ -367,47 +375,12 @@ def parse_annotations(source: str, path: str) -> Dict[int, EffectAnnotation]:
 # Module scanning
 # ----------------------------------------------------------------------
 
-def _dotted(node: ast.expr) -> Optional[str]:
-    """``a.b.c`` as a string for Name/Attribute chains, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _module_qname(root: Path, package: str, path: Path) -> str:
     relative = path.relative_to(root).with_suffix("")
     parts = [package] + list(relative.parts)
     if parts[-1] == "__init__":
         parts = parts[:-1]
     return ".".join(parts)
-
-
-def _collect_imports(nodes: Sequence[ast.stmt], module_qname: str,
-                     out: Dict[str, str]) -> None:
-    for node in nodes:
-        if isinstance(node, ast.Import):
-            for item in node.names:
-                local = item.asname or item.name.split(".")[0]
-                target = item.name if item.asname else item.name.split(".")[0]
-                out[local] = target
-        elif isinstance(node, ast.ImportFrom):
-            if node.module is None and node.level == 0:
-                continue
-            base = node.module or ""
-            if node.level:
-                # relative import: resolve against the current module
-                parts = module_qname.split(".")
-                parts = parts[:len(parts) - node.level]
-                base = ".".join(parts + ([node.module] if node.module else []))
-            for item in node.names:
-                if item.name == "*":
-                    continue
-                out[item.asname or item.name] = f"{base}.{item.name}"
 
 
 def _walk_function(node: ast.AST):

@@ -39,8 +39,9 @@ import ast
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.dataflow import Finding
-from repro.analysis.effects import (FunctionInfo, RepoModel, _dotted,
-                                    _walk_function, analyze_package)
+from repro.analysis.effects import (FunctionInfo, RepoModel, _walk_function,
+                                    analyze_package)
+from repro.analysis.lint import _dotted
 
 __all__ = ["FS_RULES", "check_fork_safety", "worker_targets",
            "worker_reachable"]

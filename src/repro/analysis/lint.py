@@ -12,7 +12,9 @@ Rules
     ...) bypasses the seeded generators in :mod:`repro.nn.random` and makes
     experiments irreproducible.  ``np.random.default_rng`` /
     ``np.random.Generator`` / ``np.random.SeedSequence`` are the sanctioned
-    constructors.
+    constructors.  Calls are matched after import resolution, so
+    ``from numpy.random import rand; rand(3)`` and ``import numpy.random
+    as npr; npr.rand(3)`` fire too.
 
 ``REP102`` ``.data`` mutation outside sanctioned helpers
     Assigning to ``tensor.data`` (or a slice of it) mutates a tensor that
@@ -71,7 +73,8 @@ Rules
     ``np.zeros`` or carry an explicit ``# noqa: REP110`` after review.
 
 ``REP111`` bare ``time.sleep`` retry loop in library code
-    ``time.sleep(<literal>)`` inside a ``for``/``while`` body in ``src/``
+    ``time.sleep(<literal>)`` (however ``sleep`` was imported) inside a
+    ``for``/``while`` body in ``src/``
     is a retry loop with a fixed delay and no deadline: it waits
     forever on a peer that never recovers and hides how long it waited.
     Bound the wait with the orchestrator's deadline plumbing (per-attempt
@@ -116,6 +119,11 @@ Rules
     a kind declared in ``EVENT_KINDS``.  Variable kinds (forwarding
     wrappers) are exempt — they are the plumbing, not the call site.
 
+REP101, REP108, REP111, REP112 and REP113 resolve names through one
+import resolver (:func:`_collect_imports`), the one the effect analyzer
+(:mod:`repro.analysis.effects`) uses for its call graph, so the lint and
+the analyzer agree on what ``rand``, ``npr.rand`` or ``t.sleep`` denote.
+
 A ``# noqa: REP102`` comment (or a bare ``# noqa``) on the offending line
 suppresses a violation — reserved for code that deliberately exercises the
 forbidden pattern, e.g. tests of the tape-mutation guard itself.
@@ -129,7 +137,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["Violation", "lint_source", "lint_paths", "main", "RULES",
            "emitted_event_kinds"]
@@ -190,48 +198,99 @@ class Violation:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
 
-def _numpy_aliases(tree: ast.AST) -> set:
-    """Names the module binds to the numpy package (``np``, ``numpy``)."""
-    aliases = set()
-    for node in ast.walk(tree):
+def _dotted(node: ast.expr) -> Optional[str]:
+    """``a.b.c`` as a string for Name/Attribute chains, else None."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def _collect_imports(nodes: Sequence[ast.stmt], module_qname: Optional[str],
+                     out: Dict[str, str]) -> None:
+    """Map each name the import statements bind to its absolute target.
+
+    ``import numpy.random as npr`` binds ``npr -> numpy.random``; ``from
+    time import sleep`` binds ``sleep -> time.sleep``.  Relative imports
+    resolve against ``module_qname``; with no qname (the linter, which
+    sees files, not packages) they are skipped — they bind package-local
+    names, never a stdlib or NumPy module.
+    """
+    for node in nodes:
         if isinstance(node, ast.Import):
             for item in node.names:
-                if item.name == "numpy":
-                    aliases.add(item.asname or "numpy")
+                local = item.asname or item.name.split(".")[0]
+                target = item.name if item.asname else item.name.split(".")[0]
+                out[local] = target
         elif isinstance(node, ast.ImportFrom):
-            if node.module == "numpy":
-                for item in node.names:
-                    if item.name == "random":
-                        aliases.add(f"{item.asname or 'random'}#random")
-    return aliases
+            if node.module is None and node.level == 0:
+                continue
+            base = node.module or ""
+            if node.level:
+                if module_qname is None:
+                    continue
+                # relative import: resolve against the current module
+                parts = module_qname.split(".")
+                parts = parts[:len(parts) - node.level]
+                base = ".".join(parts + ([node.module] if node.module else []))
+            for item in node.names:
+                if item.name == "*":
+                    continue
+                out[item.asname or item.name] = f"{base}.{item.name}"
 
 
-def _is_np_random(node: ast.expr, aliases: set) -> bool:
-    """True when ``node`` is ``np.random`` / ``numpy.random`` (or an alias)."""
-    if isinstance(node, ast.Attribute) and node.attr == "random":
-        return isinstance(node.value, ast.Name) and node.value.id in aliases
-    if isinstance(node, ast.Name):
-        return f"{node.id}#random" in aliases
-    return False
+def _imports(tree: ast.AST) -> Dict[str, str]:
+    """Every name a module's imports bind (function-local ones included)."""
+    imports: Dict[str, str] = {}
+    _collect_imports([node for node in ast.walk(tree)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))],
+                     None, imports)
+    return imports
+
+
+def _resolve(node: ast.expr, imports: Dict[str, str]) -> Optional[str]:
+    """Absolute dotted target of an imported Name/Attribute chain, or None."""
+    dotted = _dotted(node)
+    if dotted is None:
+        return None
+    head, _, rest = dotted.partition(".")
+    target = imports.get(head)
+    if target is None:
+        return None
+    return f"{target}.{rest}" if rest else target
+
+
+def _global_draw(func: ast.expr, imports: Dict[str, str], module: str,
+                 allowed: frozenset) -> Optional[str]:
+    """``name`` when ``func`` resolves to ``<module>.<name>`` and ``name``
+    is not one of the ``allowed`` generator constructors."""
+    resolved = _resolve(func, imports) or ""
+    name = resolved[len(module) + 1:]
+    if (resolved.startswith(module + ".") and "." not in name
+            and name not in allowed):
+        return name
+    return None
 
 
 def _check_bare_random(tree: ast.AST, path: str, out: List[Violation]) -> None:
-    aliases = _numpy_aliases(tree)
-    if not aliases:
-        return
+    imports = _imports(tree)
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        func = node.func
-        if (isinstance(func, ast.Attribute)
-                and func.attr not in ALLOWED_NP_RANDOM
-                and _is_np_random(func.value, aliases)):
-            out.append(Violation(
-                path, node.lineno, node.col_offset, "REP101",
-                f"np.random.{func.attr}() draws from the unseeded global "
-                "stream; use repro.nn.random.default_rng() or pass a "
-                "Generator",
-            ))
+        name = _global_draw(node.func, imports, "numpy.random",
+                            ALLOWED_NP_RANDOM)
+        if name is None:
+            continue
+        out.append(Violation(
+            path, node.lineno, node.col_offset, "REP101",
+            f"np.random.{name}() draws from the unseeded global "
+            "stream; use repro.nn.random.default_rng() or pass a "
+            "Generator",
+        ))
 
 
 def _data_target(node: ast.expr) -> ast.Attribute | None:
@@ -426,24 +485,13 @@ _CONCURRENCY_MODULES = {"multiprocessing", "threading", "concurrent",
 _BLOCKING_METHODS = {"join", "get", "result", "wait"}
 
 
-def _imports_concurrency(tree: ast.AST) -> bool:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for item in node.names:
-                if item.name.split(".")[0] in _CONCURRENCY_MODULES:
-                    return True
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and node.module.split(".")[0] in _CONCURRENCY_MODULES:
-                return True
-    return False
-
-
 def _check_blocking_without_timeout(tree: ast.AST, path: str,
                                     out: List[Violation]) -> None:
     normalized = path.replace("\\", "/")
     if "/src/" not in f"/{normalized}":
         return
-    if not _imports_concurrency(tree):
+    if not any(target.split(".")[0] in _CONCURRENCY_MODULES
+               for target in _imports(tree).values()):
         return
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -553,16 +601,14 @@ def _check_bare_sleep_loop(tree: ast.AST, path: str,
         return
     # time.sleep(<literal>) inside a loop body: a fixed-delay retry loop
     # with no deadline.
+    imports = _imports(tree)
     flagged: set = set()
     for node in ast.walk(tree):
         if not isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
             continue
         for inner in ast.walk(node):
             if (isinstance(inner, ast.Call)
-                    and isinstance(inner.func, ast.Attribute)
-                    and inner.func.attr == "sleep"
-                    and isinstance(inner.func.value, ast.Name)
-                    and inner.func.value.id == "time"
+                    and _resolve(inner.func, imports) == "time.sleep"
                     and inner.args
                     and isinstance(inner.args[0], ast.Constant)
                     and id(inner) not in flagged):
@@ -585,39 +631,33 @@ def _check_bare_std_random(tree: ast.AST, path: str,
     normalized = path.replace("\\", "/")
     if "/src/" not in f"/{normalized}":
         return
-    aliases = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
+        # `from repro.nn import random` binds the repo module, not the
+        # stdlib one — only a plain `from random import X` (absolute,
+        # top-level) is the stdlib stream.
+        if (isinstance(node, ast.ImportFrom) and node.module == "random"
+                and node.level == 0):
             for item in node.names:
-                if item.name == "random":
-                    aliases.add(item.asname or "random")
-        elif isinstance(node, ast.ImportFrom):
-            # `from repro.nn import random` binds the repo module, not
-            # the stdlib one — only a plain `from random import X`
-            # (absolute, top-level) is the stdlib stream.
-            if node.module == "random" and node.level == 0:
-                for item in node.names:
-                    if item.name not in ALLOWED_STD_RANDOM:
-                        out.append(Violation(
-                            path, node.lineno, node.col_offset, "REP112",
-                            f"`from random import {item.name}` pulls a "
-                            "draw from the unseeded module-global "
-                            "stream; thread a numpy Generator parameter "
-                            "instead",
-                        ))
-    if not aliases:
-        return
+                if item.name not in ALLOWED_STD_RANDOM:
+                    out.append(Violation(
+                        path, node.lineno, node.col_offset, "REP112",
+                        f"`from random import {item.name}` pulls a "
+                        "draw from the unseeded module-global "
+                        "stream; thread a numpy Generator parameter "
+                        "instead",
+                    ))
+    imports = _imports(tree)
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
+        # a bare name bound by `from random import X` is flagged at its
+        # import above; attribute calls are flagged here
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)):
             continue
-        func = node.func
-        if (isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id in aliases
-                and func.attr not in ALLOWED_STD_RANDOM):
+        name = _global_draw(node.func, imports, "random", ALLOWED_STD_RANDOM)
+        if name is not None:
             out.append(Violation(
                 path, node.lineno, node.col_offset, "REP112",
-                f"random.{func.attr}() draws from the unseeded "
+                f"random.{name}() draws from the unseeded "
                 "module-global stream; thread a numpy Generator "
                 "parameter (or a local random.Random(seed)) instead",
             ))
@@ -626,18 +666,14 @@ def _check_bare_std_random(tree: ast.AST, path: str,
 # Queue constructors that take a capacity bound; SimpleQueue never does.
 _QUEUE_MODULES = {"queue", "asyncio", "multiprocessing"}
 _BOUNDED_QUEUES = {"Queue", "LifoQueue", "PriorityQueue", "JoinableQueue"}
+_QUEUE_CLASSES = _BOUNDED_QUEUES | {"SimpleQueue"}
 
 
-def _queue_class_of(node: ast.Call, aliases: dict, named: dict):
-    """The queue class a call constructs, or None."""
-    func = node.func
-    if (isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id in aliases
-            and func.attr in _BOUNDED_QUEUES | {"SimpleQueue"}):
-        return func.attr
-    if isinstance(func, ast.Name) and func.id in named:
-        return named[func.id]
+def _queue_class(target: Optional[str]) -> Optional[str]:
+    """The queue class an absolute dotted name denotes, or None."""
+    module, _, name = (target or "").rpartition(".")
+    if module.split(".")[0] in _QUEUE_MODULES and name in _QUEUE_CLASSES:
+        return name
     return None
 
 
@@ -656,27 +692,15 @@ def _check_unbounded_queue(tree: ast.AST, path: str,
     normalized = path.replace("\\", "/")
     if "/src/" not in f"/{normalized}":
         return
-    aliases: dict = {}          # local name -> queue-bearing module
-    named: dict = {}            # from-imported class name -> class
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for item in node.names:
-                if item.name.split(".")[0] in _QUEUE_MODULES:
-                    aliases[item.asname or item.name.split(".")[0]] = \
-                        item.name
-        elif isinstance(node, ast.ImportFrom):
-            if (node.level == 0 and node.module
-                    and node.module.split(".")[0] in _QUEUE_MODULES):
-                for item in node.names:
-                    if item.name in _BOUNDED_QUEUES | {"SimpleQueue"}:
-                        named[item.asname or item.name] = item.name
-    if not aliases and not named:
+    imports = _imports(tree)
+    if not any(target in _QUEUE_MODULES or _queue_class(target)
+               for target in imports.values()):
         return
     in_async = _async_spans(tree)
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        queue_class = _queue_class_of(node, aliases, named)
+        queue_class = _queue_class(_resolve(node.func, imports))
         if queue_class == "SimpleQueue":
             out.append(Violation(
                 path, node.lineno, node.col_offset, "REP113",

@@ -12,10 +12,11 @@ finding is emitted per intrinsic site, carrying the shortest call chain
 from the root down to the site (``fit -> span -> _ActiveSpan.__enter__
 reads time.perf_counter``).  Sites audited with ``# effects: ok`` are
 still reported, flagged ``suppressed`` — declared, not silenced — and
-their fingerprints are gated against ``det_baseline.json``: an audited
-finding that is *new* (an unreviewed annotation) fails exactly like one
-that *vanished* (either genuinely fixed — update the baseline — or the
-analyzer silently lost coverage, which must not pass unnoticed).
+``repro analyze`` gates their fingerprints against the ``audited`` set
+of ``analysis_baseline.json`` (:func:`repro.analysis.audit.gate`): an
+audited finding that is *new* (an unreviewed annotation) fails exactly
+like one that *vanished* (either genuinely fixed — update the baseline —
+or the analyzer silently lost coverage, which must not pass unnoticed).
 
 Rules:
 
@@ -40,26 +41,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.audit import (
-    fingerprint,
-    load_fingerprints,
-    write_fingerprints,
-)
 from repro.analysis.dataflow import Finding
 from repro.analysis.effects import EffectSite, RepoModel, analyze_package
 
 __all__ = [
     "DET_RULES",
     "DETERMINISM_ROOTS",
-    "DET_BASELINE_VERSION",
     "check_roots",
     "effects_report",
-    "load_det_baseline",
-    "write_det_baseline",
-    "det_regressions",
 ]
-
-DET_BASELINE_VERSION = 1
 
 # Declared determinism roots: public entry points whose outputs the
 # repo promises are bitwise-reproducible modulo declared seeds.
@@ -163,7 +153,7 @@ def check_roots(model: Optional[RepoModel] = None,
 
 def effects_report(model: Optional[RepoModel] = None,
                    roots: Sequence[str] = DETERMINISM_ROOTS) -> dict:
-    """The ``repro analyze --effects`` report (DET + FS findings).
+    """The effect half of the ``repro analyze`` report (DET + FS findings).
 
     Deliberately free of wall-clock timing so the report is
     byte-identical across runs (the analyzer must pass its own gate).
@@ -189,57 +179,6 @@ def effects_report(model: Optional[RepoModel] = None,
             "root": root, "found": True, "functions": len(order),
             "signature": model.signature(root),
         })
-    active = [f for f in findings if not f.suppressed]
-    report = {
-        "version": DET_BASELINE_VERSION,
-        "roots": root_rows,
-        "findings": [f.to_dict() for f in findings],
-        "summary": {
-            "errors": sum(f.severity == "error" for f in active),
-            "warnings": sum(f.severity == "warn" for f in active),
-            "audited": sum(f.suppressed for f in findings),
-        },
-    }
-    report["_findings"] = findings  # live objects, stripped before JSON
-    return report
-
-
-# ----------------------------------------------------------------------
-# Baseline handling (det_baseline.json)
-# ----------------------------------------------------------------------
-
-def load_det_baseline(path: str) -> Dict[str, List[str]]:
-    return load_fingerprints(path, "audited", DET_BASELINE_VERSION,
-                             "determinism")
-
-
-def write_det_baseline(path: str, report: dict) -> None:
-    """Snapshot every audited (suppressed) finding fingerprint."""
-    write_fingerprints(path, "audited", DET_BASELINE_VERSION,
-                       (f for f in report["_findings"] if f.suppressed))
-
-
-def det_regressions(report: dict,
-                    baseline: Optional[Dict[str, List[str]]] = None,
-                    ) -> Tuple[List[Finding], List[Finding], List[str]]:
-    """Gate a report against ``det_baseline.json``.
-
-    Returns ``(unaudited, new_audited, vanished)``:
-
-    * *unaudited* — active findings; these always fail, baseline or not.
-    * *new_audited* — audited findings whose fingerprint is not in the
-      baseline: an annotation nobody reviewed.  Fails.
-    * *vanished* — baseline fingerprints with no current finding: either
-      genuinely fixed (run ``--update-baseline``) or the analyzer lost
-      coverage.  Fails either way so it cannot pass unnoticed.
-    """
-    expected = set(baseline["audited"]) if baseline else set()
-    unaudited = [f for f in report["_findings"] if not f.suppressed]
-    current: Dict[str, Finding] = {}
-    for finding in report["_findings"]:
-        if finding.suppressed:
-            current.setdefault(fingerprint(finding), finding)
-    new_audited = [f for fp, f in sorted(current.items())
-                   if fp not in expected]
-    vanished = sorted(expected - set(current))
-    return unaudited, new_audited, vanished
+    return {"roots": root_rows,
+            "findings": [f.to_dict() for f in findings],
+            "_findings": findings}  # live objects, stripped before JSON

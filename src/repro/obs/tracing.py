@@ -13,8 +13,8 @@ read.  `make obs-overhead` gates that cost on a seeded trainer run at 3%
 relative or 10 ms absolute, an effective budget of max(3%, 10 ms /
 baseline).  Enable it explicitly::
 
-    from repro.obs import (aggregate_spans, disable_tracing,
-                           enable_tracing, span)
+    from repro.obs.tracing import (aggregate_spans, disable_tracing,
+                                   enable_tracing, span)
 
     tracer = enable_tracing()
     with span("fit"):

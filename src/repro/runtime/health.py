@@ -82,22 +82,11 @@ class ServiceHealth:
         self._tick = 0
         self._backoff = self.config.base_backoff
         self._next_probe_tick: int | None = None
-        self._probing = False
 
     def tick(self) -> int:
         """Advance the update clock by one; returns the new tick."""
         self._tick += 1
         return self._tick
-
-    @property
-    def tick_count(self) -> int:
-        """Current update tick (number of :meth:`tick` calls so far)."""
-        return self._tick
-
-    @property
-    def transition_count(self) -> int:
-        """Total number of recorded state transitions."""
-        return len(self.transitions)
 
     def allow_model(self) -> bool:
         """Should this update try the real model path?
@@ -108,14 +97,8 @@ class ServiceHealth:
         """
         if self.state is not HealthState.QUARANTINED:
             return True
-        self._probing = (self._next_probe_tick is not None
-                         and self._tick >= self._next_probe_tick)
-        return self._probing
-
-    @property
-    def probing(self) -> bool:
-        """True when the current model attempt is a quarantine probe."""
-        return self.state is HealthState.QUARANTINED and self._probing
+        return (self._next_probe_tick is not None
+                and self._tick >= self._next_probe_tick)
 
     def record_success(self) -> None:
         """The model path produced a finite score this update."""
@@ -137,7 +120,6 @@ class ServiceHealth:
         elif self.state is HealthState.DEGRADED:
             if self.consecutive_successes >= self.config.recovery_successes:
                 self._transition(HealthState.HEALTHY)
-        self._probing = False
 
     def record_failure(self) -> None:
         """The model path raised or produced a non-finite score."""
@@ -154,7 +136,6 @@ class ServiceHealth:
             self._next_probe_tick = self._tick + self._backoff
         elif self.state is HealthState.HEALTHY:
             self._transition(HealthState.DEGRADED)
-        self._probing = False
 
     def note_degraded_input(self) -> None:
         """Sanitizer had to fabricate data (gap) — degrade a healthy service."""

@@ -1,9 +1,10 @@
-"""Model audit harness + baseline policy + the ``repro analyze`` gate.
+"""Model audit harness + the one ``repro analyze`` gate.
 
 The golden-file test pins the *fingerprint set* of every shipped model's
 findings (line numbers and messages excluded on purpose): any new analyzer
 finding, newly-uncovered op, or model becoming skipped shows up as a diff
-against ``golden_analyze.json``.
+against ``golden_analyze.json``.  The gate tests hold every finding —
+graph and effect alike — to ``analysis_baseline.json``'s ``audited`` set.
 """
 
 import json
@@ -14,11 +15,12 @@ import pytest
 
 from repro.analysis.audit import (
     BASELINE_VERSION,
+    analyze,
     audit_models,
     available_models,
     fingerprint,
+    gate,
     load_baseline,
-    new_findings,
     write_baseline,
 )
 from repro.analysis.dataflow import Finding
@@ -51,54 +53,55 @@ class TestFingerprint:
 
 
 class TestBaselinePolicy:
-    def test_roundtrip_accepts_only_unsuppressed_warnings(self, tmp_path):
-        report = {"_findings": [
-            _finding(severity="warn"),
-            _finding(severity="warn", suppressed=True, op="div"),
-            _finding(severity="error", rule="DF201", op="log"),
-        ]}
+    def test_roundtrip_records_only_audited_findings(self, tmp_path):
+        active = _finding(severity="warn")
+        audited_warn = _finding(severity="warn", suppressed=True, op="div")
+        audited_error = _finding(severity="error", rule="DF201", op="log",
+                                 suppressed=True)
+        report = {"_findings": [active, audited_warn, audited_error]}
         path = tmp_path / "baseline.json"
         write_baseline(str(path), report)
         baseline = load_baseline(str(path))
-        assert baseline["accepted_warnings"] == [
-            fingerprint(report["_findings"][0])
-        ]
+        assert baseline == sorted([fingerprint(audited_warn),
+                                   fingerprint(audited_error)])
+        assert gate(report, baseline) == ([active], [], [])
 
     def test_rewrite_reproduces_committed_baseline(self, tmp_path):
         path = tmp_path / "analysis_baseline.json"
-        write_baseline(str(path), audit_models())
+        write_baseline(str(path), analyze())
         assert path.read_bytes() == BASELINE_PATH.read_bytes()
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "baseline.json"
         path.write_text(json.dumps(
-            {"version": BASELINE_VERSION + 1, "accepted_warnings": []}
+            {"version": BASELINE_VERSION + 1, "audited": []}
         ))
+        with pytest.raises(ValueError):
+            load_baseline(str(path))
+        # the version-1 layout, accepted warnings only, is refused too
+        path.write_text(json.dumps({"version": 1, "accepted_warnings": []}))
         with pytest.raises(ValueError):
             load_baseline(str(path))
 
     def test_errors_always_fail_even_if_accepted(self):
         error = _finding(severity="error", rule="DF201", op="log")
-        report = {"_findings": [error]}
-        baseline = {"accepted_warnings": [fingerprint(error)]}
-        assert new_findings(report, baseline) == [error]
+        unaudited, _, _ = gate({"_findings": [error]}, [fingerprint(error)])
+        assert unaudited == [error]
 
     def test_accepted_warning_passes_new_warning_fails(self):
-        known = _finding(severity="warn")
+        known = _finding(severity="warn", suppressed=True)
         fresh = _finding(severity="warn", op="div")
         report = {"_findings": [known, fresh]}
-        baseline = {"accepted_warnings": [fingerprint(known)]}
-        assert new_findings(report, baseline) == [fresh]
+        assert gate(report, [fingerprint(known)]) == ([fresh], [], [])
 
-    def test_suppressed_findings_never_fail(self):
-        report = {"_findings": [
-            _finding(severity="error", rule="DF201", suppressed=True),
-        ]}
-        assert new_findings(report, None) == []
+    def test_new_audited_finding_fails(self):
+        audited = _finding(severity="error", rule="DF201", suppressed=True)
+        assert gate({"_findings": [audited]}, []) == ([], [audited], [])
 
     def test_no_baseline_means_every_warning_fails(self):
         warn = _finding(severity="warn")
-        assert new_findings({"_findings": [warn]}, None) == [warn]
+        unaudited, _, _ = gate({"_findings": [warn]})
+        assert unaudited == [warn]
 
 
 class TestAuditModels:
@@ -163,5 +166,33 @@ class TestAnalyzeGolden:
         assert [m["model"] for m in payload["models"]] == available_models()
 
     def test_gate_reports_nothing_failing(self, payload):
-        assert payload["failing"] == []
+        assert payload["unaudited"] == []
+        assert payload["new_audited"] == []
+        assert payload["vanished"] == []
         assert payload["summary"]["errors"] == 0
+
+
+class TestFreshAudit:
+    def test_fresh_analyzer_ok_site_fails_the_gate(self, monkeypatch,
+                                                   capsys):
+        # A new `# analyzer: ok` site is an annotation nobody reviewed:
+        # its fingerprint is missing from the baseline, so the gate fails.
+        from repro.analysis import audit
+        from repro.cli import main
+
+        mace_case = audit._mace_case
+
+        def case_with_fresh_audit():
+            fn, inputs, model = mace_case()
+            (windows,) = inputs
+
+            def audited_fn():
+                return fn() + windows.abs().log().mean() * 0.0  # analyzer: ok
+
+            return audited_fn, inputs, model
+
+        monkeypatch.setattr(audit, "_mace_case", case_with_fresh_audit)
+        assert main(["analyze", "--baseline", str(BASELINE_PATH)]) == 1
+        out = capsys.readouterr().out
+        assert "NEW-AUDITED ERROR DF201 [MACE ::" in out
+        assert "test_audit.py" in out

@@ -3,22 +3,17 @@
 Synthetic packages exercise each effect atom and the interprocedural
 machinery in isolation; the final classes run the analyzer over the real
 ``repro`` package and pin the shipped contract (zero unaudited findings,
-byte-identical reports, det_baseline.json round-trip).
+byte-identical reports, the DET/FS part of analysis_baseline.json
+round-tripping through the one gate).
 """
 
 import json
 
 import pytest
 
+from repro.analysis.audit import gate, load_baseline, write_baseline
 from repro.analysis.effects import analyze_package, parse_annotations
-from repro.analysis.purity import (
-    DETERMINISM_ROOTS,
-    check_roots,
-    det_regressions,
-    effects_report,
-    load_det_baseline,
-    write_det_baseline,
-)
+from repro.analysis.purity import DETERMINISM_ROOTS, check_roots, effects_report
 
 
 def make_pkg(tmp_path, files):
@@ -440,40 +435,44 @@ class TestBaseline:
 
     def test_roundtrip_and_exact_match(self, tmp_path):
         report = self._report(tmp_path)
-        path = tmp_path / "det_baseline.json"
-        write_det_baseline(str(path), report)
-        baseline = load_det_baseline(str(path))
-        assert len(baseline["audited"]) == 1
-        unaudited, new, vanished = det_regressions(report, baseline)
-        assert (unaudited, new, vanished) == ([], [], [])
+        path = tmp_path / "analysis_baseline.json"
+        write_baseline(str(path), report)
+        baseline = load_baseline(str(path))
+        assert len(baseline) == 1
+        assert gate(report, baseline) == ([], [], [])
 
     def test_unaudited_always_fails(self, tmp_path):
         report = self._report(tmp_path, audited=False)
-        unaudited, _, _ = det_regressions(report, baseline=None)
+        unaudited, _, _ = gate(report)
         assert [f.rule for f in unaudited] == ["DET502"]
 
     def test_new_audited_finding_fails(self, tmp_path):
         report = self._report(tmp_path)
-        _, new, _ = det_regressions(report, {"audited": []})
+        _, new, _ = gate(report, [])
         assert len(new) == 1
 
     def test_vanished_finding_fails(self, tmp_path):
         report = self._report(tmp_path)
-        _, _, vanished = det_regressions(
-            report, {"audited": ["DET999|gone|x|y|z.py"]})
+        _, _, vanished = gate(report, ["DET999|gone|x|y|z.py"])
         assert len(vanished) == 1
 
     def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "det_baseline.json"
+        path = tmp_path / "analysis_baseline.json"
         path.write_text(json.dumps({"version": 99, "audited": []}),
                         encoding="utf-8")
         with pytest.raises(ValueError):
-            load_det_baseline(str(path))
+            load_baseline(str(path))
 
 
 @pytest.fixture(scope="module")
 def repo_report():
     return effects_report()
+
+
+def _committed_effect_fingerprints():
+    """The DET/FS entries of the one baseline (graph entries are DFxxx)."""
+    return [fp for fp in load_baseline("analysis_baseline.json")
+            if fp.startswith(("DET", "FS"))]
 
 
 class TestRealRepository:
@@ -505,16 +504,14 @@ class TestRealRepository:
                 "repro.eval.gpd._log"} <= set(order)
 
     def test_matches_committed_baseline(self, repo_report):
-        baseline = load_det_baseline("det_baseline.json")
-        unaudited, new, vanished = det_regressions(repo_report, baseline)
-        assert (unaudited, new, vanished) == ([], [], [])
+        expected = _committed_effect_fingerprints()
+        assert gate(repo_report, expected) == ([], [], [])
 
     def test_rewrite_reproduces_committed_baseline(self, repo_report,
                                                    tmp_path):
-        path = tmp_path / "det_baseline.json"
-        write_det_baseline(str(path), repo_report)
-        with open("det_baseline.json", "rb") as handle:
-            assert path.read_bytes() == handle.read()
+        path = tmp_path / "analysis_baseline.json"
+        write_baseline(str(path), repo_report)
+        assert load_baseline(str(path)) == _committed_effect_fingerprints()
 
     def test_report_is_byte_identical_across_runs(self, repo_report):
         # the analyzer must pass its own determinism bar: no timing, no

@@ -31,6 +31,20 @@ class TestBareRandom:
         source = "import numpy as np\nclass C:\n    random = 1\nC().random\n"
         assert "REP101" not in _codes(lint_source(source, "src/mod.py"))
 
+    def test_from_numpy_random_import_name(self):
+        source = "from numpy.random import rand\nx = rand(3)\n"
+        violations = lint_source(source, "src/mod.py")
+        assert [(v.code, v.line) for v in violations] == [("REP101", 2)]
+
+    def test_numpy_random_module_alias(self):
+        source = "import numpy.random as npr\nx = npr.rand(3)\n"
+        violations = lint_source(source, "src/mod.py")
+        assert [(v.code, v.line) for v in violations] == [("REP101", 2)]
+
+    def test_from_numpy_random_constructor_is_sanctioned(self):
+        source = "from numpy.random import default_rng\nrng = default_rng(0)\n"
+        assert not lint_source(source, "src/mod.py")
+
 
 class TestDataMutation:
     def test_plain_assignment_fires(self):
@@ -246,6 +260,24 @@ class TestBareSleepRetryLoop:
                   "        delay *= 2\n")
         assert "REP111" not in _codes(lint_source(source, "src/mod.py"))
 
+    def test_from_time_import_sleep_in_loop_fires(self):
+        source = ("from time import sleep\n"
+                  "def retry(f):\n"
+                  "    while True:\n"
+                  "        f()\n"
+                  "        sleep(1.0)\n")
+        violations = lint_source(source, "src/mod.py", select=["REP111"])
+        assert [(v.code, v.line) for v in violations] == [("REP111", 5)]
+
+    def test_time_module_alias_in_loop_fires(self):
+        source = ("import time as t\n"
+                  "def retry(f):\n"
+                  "    for _ in range(5):\n"
+                  "        t.sleep(1)\n"
+                  "        f()\n")
+        violations = lint_source(source, "src/mod.py", select=["REP111"])
+        assert [(v.code, v.line) for v in violations] == [("REP111", 4)]
+
     def test_sleep_outside_loop_passes(self):
         source = "import time\ndef pause():\n    time.sleep(1.0)\n"
         assert "REP111" not in _codes(lint_source(source, "src/mod.py"))
@@ -371,6 +403,11 @@ class TestUnboundedQueue:
     def test_awaited_put_in_async_code_exempt(self):
         source = ("import asyncio\nq = asyncio.Queue(maxsize=4)\n"
                   "async def feed(item):\n    await q.put(item)\n")
+        assert "REP113" not in _codes(lint_source(source, "src/mod.py"))
+
+    def test_relative_queue_module_not_confused_with_stdlib(self):
+        # `from .queue import Queue` binds a package-local class
+        source = "from .queue import Queue\nq = Queue()\n"
         assert "REP113" not in _codes(lint_source(source, "src/mod.py"))
 
     def test_unrelated_put_without_queue_import_exempt(self):

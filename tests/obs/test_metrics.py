@@ -289,17 +289,6 @@ class TestRegistry:
         registry.counter("c").inc()
         json.dumps(registry.snapshot())
 
-    def test_prometheus_exposition_shape(self):
-        registry = MetricsRegistry()
-        registry.counter("hits", service="a").inc(2)
-        histogram = registry.histogram("lat")
-        histogram.observe(0.2)
-        text = registry.render_prometheus()
-        assert "# TYPE hits counter" in text
-        assert 'hits{service="a"} 2' in text
-        assert "lat_count 1" in text
-        assert 'le="+Inf"' in text
-
     def test_install_registry_swaps_and_restores(self):
         fresh = MetricsRegistry()
         previous = install_registry(fresh)

@@ -109,11 +109,16 @@ class TestBreaker:
         assert health._backoff == 4
 
     def test_probing_flag(self):
-        health = _health(base_backoff=1)
+        # In quarantine, a model attempt is allowed only as a probe: not
+        # before the backoff window elapses, and once it has.
+        health = _health(base_backoff=2)
         _drive(health, [False, False, False])
+        assert health.state is HealthState.QUARANTINED
+        health.tick()
+        assert not health.allow_model()
         health.tick()
         assert health.allow_model()
-        assert health.probing
+        assert health.state is HealthState.QUARANTINED
 
     def test_counters(self):
         health = _health()
@@ -171,5 +176,8 @@ class TestTelemetryProperties:
     def test_tick_and_transition_counters(self):
         health = _health()
         _drive(health, [True, False, True, True])
-        assert health.tick_count == 4
-        assert health.transition_count == 1          # healthy -> degraded
+        # one transition, healthy -> degraded, stamped with the tick of
+        # the second update
+        assert health.transitions == [
+            (2, HealthState.HEALTHY, HealthState.DEGRADED)]
+        assert health.tick() == 5                    # four ticks so far

@@ -252,7 +252,7 @@ class TestServingTelemetry:
             <= histogram.max
         health = runtime.health("svc")
         assert health.state is HealthState.HEALTHY
-        assert health.transition_count == 0
+        assert health.transitions == []
         assert health.total_failures == 0
 
     def test_transition_counters_and_events(self):

@@ -70,54 +70,63 @@ class TestAnalysisCommands:
         assert main(["lint", str(bad), "--select", "REP104"]) == 0
 
     def test_analyze_effects_gate_passes(self, capsys):
-        # golden-file gate: the committed det_baseline.json must match
-        # the analyzer's current audited set exactly
-        assert main(["analyze", "--effects",
-                     "--baseline", "det_baseline.json"]) == 0
+        # one gate over the model graphs and the determinism roots: the
+        # committed analysis_baseline.json must match exactly
+        assert main(["analyze"]) == 0
         out = capsys.readouterr().out
-        assert "determinism contract holds" in out
-        assert "MaceTrainer.fit" in out
+        assert "analysis clean" in out
+        assert "MaceTrainer.fit" in out and "TranAD" in out
 
     def test_analyze_effects_json_matches_golden_baseline(self, capsys):
         import json
 
-        assert main(["analyze", "--effects", "--json",
-                     "--baseline", "det_baseline.json"]) == 0
+        assert main(["analyze", "--json",
+                     "--baseline", "analysis_baseline.json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["unaudited"] == []
         assert payload["new_audited"] == []
         assert payload["vanished"] == []
         golden = json.loads(
-            open("det_baseline.json", encoding="utf-8").read())
+            open("analysis_baseline.json", encoding="utf-8").read())
         assert golden["audited"]  # committed baseline is non-empty
         # every reported finding is audited and fingerprint-covered
         assert payload["summary"]["audited"] >= len(golden["audited"])
-        assert all(f["suppressed"] for f in payload["findings"])
+        assert all(f["suppressed"] for f in payload["effects"])
+        assert all(f["suppressed"] for m in payload["models"]
+                   for f in m["findings"])
         assert all(row["found"] for row in payload["roots"])
 
     def test_analyze_effects_update_baseline_roundtrip(self, tmp_path,
                                                        capsys):
         import json
 
-        target = tmp_path / "det_baseline.json"
-        assert main(["analyze", "--effects", "--update-baseline",
+        target = tmp_path / "analysis_baseline.json"
+        assert main(["analyze", "--update-baseline",
                      "--baseline", str(target)]) == 0
         written = json.loads(target.read_text(encoding="utf-8"))
         committed = json.loads(
-            open("det_baseline.json", encoding="utf-8").read())
+            open("analysis_baseline.json", encoding="utf-8").read())
         assert written == committed
 
     def test_analyze_effects_vanished_fails(self, tmp_path, capsys):
         import json
 
         committed = json.loads(
-            open("det_baseline.json", encoding="utf-8").read())
+            open("analysis_baseline.json", encoding="utf-8").read())
         committed["audited"].append("DET999|ghost|x|y|z.py")
         doctored = tmp_path / "doctored.json"
         doctored.write_text(json.dumps(committed), encoding="utf-8")
-        assert main(["analyze", "--effects",
-                     "--baseline", str(doctored)]) == 1
+        assert main(["analyze", "--baseline", str(doctored)]) == 1
         assert "VANISHED" in capsys.readouterr().out
+
+    def test_analyze_rejects_version_1_baseline(self, tmp_path, capsys):
+        import json
+
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({"version": 1, "accepted_warnings": []}),
+                       encoding="utf-8")
+        assert main(["analyze", "--baseline", str(old)]) == 2
+        assert "expected 2" in capsys.readouterr().err
 
     def test_check_model_defaults(self, capsys):
         assert main(["check-model"]) == 0
