@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.dataflow import Finding, coverage, propagate
+from repro.analysis.dataflow import Finding, coverage, propagate, repo_relative
 from repro.analysis.gradflow import audit_gradient_flow
 from repro.analysis.trace import trace
 
@@ -59,18 +58,6 @@ BASELINE_VERSION = 2
 
 _SYNTH_FEATURES = 3
 _SYNTH_BATCH = 2
-
-
-def _repo_relative(path: str) -> str:
-    """Stable repo-relative path (posix separators) for reports."""
-    import repro
-
-    root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(repro.__file__))))
-    absolute = os.path.abspath(path)
-    if absolute.startswith(root + os.sep):
-        return absolute[len(root) + 1:].replace(os.sep, "/")
-    return os.path.basename(path)
 
 
 def fingerprint(finding: Finding) -> str:
@@ -156,20 +143,18 @@ def audit_models(models: Optional[Sequence[str]] = None,
     report_models: List[dict] = []
     all_findings: List[Finding] = []
     for name in requested:
-        started = time.perf_counter()
         if name == "JumpStarter":
             report_models.append({
                 "model": name, "skipped":
                     "compressed-sensing baseline with no autograd graph",
                 "nodes": 0, "findings": [], "uncovered_ops": {},
-                "seconds": 0.0,
             })
             continue
         case = _mace_case() if name == "MACE" else _baseline_case(name)
         result = _analyze_graph(*case, envelope)
         for finding in result["findings"]:
             finding.model = name
-            finding.file = _repo_relative(finding.file) if finding.file else ""
+            finding.file = repo_relative(finding.file)
         findings = sorted(
             result["findings"],
             key=lambda f: (f.rule, f.module_path, f.op, f.file, f.line),
@@ -181,7 +166,6 @@ def audit_models(models: Optional[Sequence[str]] = None,
             "nodes": len(result["graph"].nodes),
             "findings": [f.to_dict() for f in findings],
             "uncovered_ops": result["uncovered_ops"],
-            "seconds": round(time.perf_counter() - started, 3),
         })
 
     return {"version": BASELINE_VERSION, "envelope": envelope,

@@ -30,6 +30,7 @@ one op per annotated line when the ranges differ (DESIGN.md section 9).
 from __future__ import annotations
 
 import linecache
+import os
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -38,12 +39,29 @@ from repro.analysis.domains import Interval
 from repro.analysis.trace import Graph, GraphNode
 from repro.nn.opinfo import DF_RULES, OpContext, transfer
 
-__all__ = ["Finding", "propagate", "coverage", "SUPPRESS_MARKER"]
+__all__ = ["Finding", "propagate", "coverage", "repo_relative",
+           "SUPPRESS_MARKER"]
 
 SUPPRESS_MARKER = "# analyzer: ok"
 _MARKER_RE = re.compile(
     r"#\s*analyzer:\s*ok(?:\s+range=\[\s*([^,\]\s]+)\s*,\s*([^\]\s]+)\s*\])?"
 )
+
+
+def repo_relative(path: str) -> str:
+    """Stable repo-relative path (posix separators) for reports, so a
+    report reads the same from any checkout; the base name for a file
+    outside the repository, and ``""`` for no file."""
+    if not path:
+        return ""
+    import repro
+
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(repro.__file__))))
+    absolute = os.path.abspath(path)
+    if absolute.startswith(root + os.sep):
+        return absolute[len(root) + 1:].replace(os.sep, "/")
+    return os.path.basename(path)
 
 
 @dataclass

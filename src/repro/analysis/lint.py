@@ -119,10 +119,11 @@ Rules
     a kind declared in ``EVENT_KINDS``.  Variable kinds (forwarding
     wrappers) are exempt — they are the plumbing, not the call site.
 
-REP101, REP108, REP111, REP112 and REP113 resolve names through one
-import resolver (:func:`_collect_imports`), the one the effect analyzer
-(:mod:`repro.analysis.effects`) uses for its call graph, so the lint and
-the analyzer agree on what ``rand``, ``npr.rand`` or ``t.sleep`` denote.
+REP101, REP103, REP108, REP110, REP111, REP112 and REP113 resolve names
+through one import resolver (:func:`_collect_imports`), the one the
+effect analyzer (:mod:`repro.analysis.effects`) uses for its call graph,
+so the lint and the analyzer agree on what ``rand``, ``npr.rand``,
+``empty`` or ``t.sleep`` denote.
 
 A ``# noqa: REP102`` comment (or a bare ``# noqa``) on the offending line
 suppresses a violation — reserved for code that deliberately exercises the
@@ -339,15 +340,17 @@ def _check_data_mutation(tree: ast.AST, path: str, out: List[Violation]) -> None
             ))
 
 
+_FLOAT32_NAMES = ("numpy.float32", "numpy.single")
+
+
 def _check_float32(tree: ast.AST, path: str, out: List[Violation]) -> None:
     normalized = path.replace("\\", "/")
     if "/src/" not in f"/{normalized}":
         return
+    imports = _imports(tree)
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute)
-                and node.attr in ("float32", "single")
-                and isinstance(node.value, ast.Name)
-                and node.value.id in ("np", "numpy")):
+        if (isinstance(node, (ast.Attribute, ast.Name))
+                and _resolve(node, imports) in _FLOAT32_NAMES):
             out.append(Violation(
                 path, node.lineno, node.col_offset, "REP103",
                 "np.float32 in library code mixes precisions; take the "
@@ -528,12 +531,10 @@ def _check_bare_print(tree: ast.AST, path: str, out: List[Violation]) -> None:
             ))
 
 
-def _is_np_empty_call(node: ast.expr) -> bool:
+def _is_np_empty_call(node: ast.expr, imports: Dict[str, str]) -> bool:
     return (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("empty", "empty_like")
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id in ("np", "numpy"))
+            and _resolve(node.func, imports) in ("numpy.empty",
+                                                 "numpy.empty_like"))
 
 
 def _fully_initializes(stmt: ast.stmt, name: str) -> bool:
@@ -563,8 +564,9 @@ def _check_uninitialized_empty(tree: ast.AST, path: str,
     normalized = path.replace("\\", "/")
     if "/src/" not in f"/{normalized}":
         return
+    imports = _imports(tree)
     flagged = {id(node): node for node in ast.walk(tree)
-               if _is_np_empty_call(node)}
+               if _is_np_empty_call(node, imports)}
     if not flagged:
         return
     # Sanction ``buf = np.empty(...)`` immediately followed by a statement
@@ -578,7 +580,7 @@ def _check_uninitialized_empty(tree: ast.AST, path: str,
                 if not (isinstance(stmt, ast.Assign)
                         and len(stmt.targets) == 1
                         and isinstance(stmt.targets[0], ast.Name)
-                        and _is_np_empty_call(stmt.value)):
+                        and _is_np_empty_call(stmt.value, imports)):
                     continue
                 follower = (statements[position + 1]
                             if position + 1 < len(statements) else None)
@@ -588,9 +590,9 @@ def _check_uninitialized_empty(tree: ast.AST, path: str,
     for call in flagged.values():
         out.append(Violation(
             path, call.lineno, call.col_offset, "REP110",
-            f"np.{call.func.attr}() allocates uninitialized memory and the "
-            "next statement does not fully initialize it; use np.zeros, "
-            "fill immediately, or justify with # noqa: REP110",
+            f"{_resolve(call.func, imports)}() allocates uninitialized "
+            "memory and the next statement does not fully initialize it; "
+            "use np.zeros, fill immediately, or justify with # noqa: REP110",
         ))
 
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.dataflow import Finding
+from repro.analysis.dataflow import Finding, repo_relative
 from repro.analysis.effects import EffectSite, RepoModel, analyze_package
 
 __all__ = [
@@ -155,8 +155,10 @@ def effects_report(model: Optional[RepoModel] = None,
                    roots: Sequence[str] = DETERMINISM_ROOTS) -> dict:
     """The effect half of the ``repro analyze`` report (DET + FS findings).
 
-    Deliberately free of wall-clock timing so the report is
-    byte-identical across runs (the analyzer must pass its own gate).
+    Deliberately free of wall-clock timing and of absolute paths (file
+    paths are repo-relative, as the graph findings' are), so the report
+    is byte-identical across runs and checkouts (the analyzer must pass
+    its own gate).
     """
     from repro.analysis.forksafety import check_fork_safety
 
@@ -166,6 +168,8 @@ def effects_report(model: Optional[RepoModel] = None,
     # stale-annotation sweep inside check_roots must observe as consumed.
     findings = check_fork_safety(model)
     findings.extend(check_roots(model, roots))
+    for finding in findings:
+        finding.file = repo_relative(finding.file)
     findings.sort(key=lambda f: (f.rule, f.model, f.module_path, f.op,
                                  f.file, f.line))
     root_rows = []

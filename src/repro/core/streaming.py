@@ -136,9 +136,23 @@ class StreamingDetector:
         stays current for fallback scoring and later re-admission.
         """
         stream = self._require_stream(service_id)
-        observation = self._validate(stream, observation)
+        return self._push(stream, self._validate(stream, observation))
+
+    def observe_sanitized(self, service_id: str,
+                          row: np.ndarray) -> Optional[np.ndarray]:
+        """:meth:`observe` for a row that is already valid, unchecked.
+
+        ``row`` must be a finite float64 ``(features,)`` array, as
+        :meth:`repro.runtime.Sanitizer.sanitize` returns; a row that is
+        not corrupts the buffer.  Skipping the re-validation is what this
+        method is for: the serving runtime sanitizes every row first.
+        """
+        return self._push(self._require_stream(service_id), row)
+
+    def _push(self, stream: _ServiceStream,
+              row: np.ndarray) -> Optional[np.ndarray]:
         # A fresh array per update: callers may still hold the old window.
-        stream.buffer = np.concatenate((stream.buffer[1:], observation[None]))
+        stream.buffer = np.concatenate((stream.buffer[1:], row[None]))
         stream.filled = min(stream.filled + 1, self.window)
         if stream.filled < self.window:
             return None

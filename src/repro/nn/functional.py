@@ -388,10 +388,16 @@ def relu(x: Tensor) -> Tensor:
 def leaky_relu_array(x: np.ndarray, negative_slope: float = 0.01) -> np.ndarray:
     """Forward of :func:`leaky_relu` on an array.
 
-    ``x * negative_slope`` with ``x`` copied in where positive: the values
-    of ``np.where(x > 0, x, x * negative_slope)``, one array fewer.
+    The values of ``np.where(x > 0, x, x * negative_slope)``, bit for bit.
+    For a slope in ``(0, 1]`` that is ``max(x, x * negative_slope)``:
+    ``x * negative_slope`` keeps the sign of ``x`` (zeros included), and
+    ``inf`` and NaN come out of either operand alike.  It needs no
+    per-element branch, which the masked copy other slopes take costs
+    wherever the signs of ``x`` are irregular.
     """
     out = x * negative_slope
+    if 0.0 < negative_slope <= 1.0:
+        return np.maximum(x, out, out=out)
     np.copyto(out, x, where=x > 0)
     return out
 

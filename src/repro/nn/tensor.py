@@ -765,27 +765,58 @@ def clip_array(x: np.ndarray, low: float, high: float) -> np.ndarray:
     return np.minimum(np.maximum(x, low), high)
 
 
-def odd_power_array(x: np.ndarray, gamma: float) -> np.ndarray:
+def _positive(x: np.ndarray) -> bool:
+    """True when every element of ``x`` is above zero.
+
+    One reduction: NaN fails the test, and so does an empty array.  A zero
+    of either sign fails it too, so ``-0.0`` always takes the signed path.
+    """
+    return x.size > 0 and x.min() > 0.0
+
+
+def _signed_power(x: np.ndarray, exponent: float, positive: bool,
+                  overwrite_x: bool) -> np.ndarray:
+    """``sign(x) * |x|**exponent``, with ``positive = _positive(x)``.
+
+    A positive ``x`` is its own magnitude and sign, so the plain
+    ``x ** exponent`` is the same value bit for bit, without the ``abs``
+    and ``copysign`` passes.  Both branches keep ``**``'s scalar-power
+    dispatch (``2.0`` squares, ``0.5`` takes a square root), so they
+    round alike.  With ``overwrite_x`` the positive branch powers ``x``
+    in place and returns it.
+    """
+    if positive:
+        if overwrite_x:
+            x **= exponent
+            return x
+        return x ** exponent
+    power = np.abs(x)
+    power **= exponent
+    return np.copysign(power, x, out=power)
+
+
+def odd_power_array(x: np.ndarray, gamma: float,
+                    overwrite_x: bool = False) -> np.ndarray:
     """Sign-preserving power ``sign(x) * |x|**gamma`` of an array.
 
     The sign is copied onto the magnitude (``np.copysign``) rather than
     multiplied in, which saves a full-array pass.  That is bitwise equal
     to ``np.sign(x) * |x|**gamma`` except at zero: ``-0.0`` keeps its
     sign, and ``±0`` with a negative ``gamma`` gives ``±inf`` instead of
-    ``0 * inf``.  The power is taken in place (``**=`` keeps ``**``'s
-    fast scalar-power paths), so only one array is allocated.
+    ``0 * inf``.  An input with every element above zero (the shifted
+    dualistic convolution's) skips the sign: ``x ** gamma`` is the same
+    bits.  ``overwrite_x=True`` lets the result reuse ``x``'s memory;
+    callers then use only the returned array.
     """
-    power = np.abs(x)
-    power **= gamma
-    return np.copysign(power, x, out=power)
+    return _signed_power(x, gamma, _positive(x), overwrite_x)
 
 
-def odd_root_array(x: np.ndarray, gamma: float) -> np.ndarray:
+def odd_root_array(x: np.ndarray, gamma: float,
+                   overwrite_x: bool = False) -> np.ndarray:
     """Sign-preserving ``gamma``-th root of an array, inverse of
-    :func:`odd_power_array`, with the same two exceptions at zero."""
-    root = np.abs(x)
-    root **= 1.0 / gamma
-    return np.copysign(root, x, out=root)
+    :func:`odd_power_array`, with the same two exceptions at zero and
+    the same fast path for positive input."""
+    return _signed_power(x, 1.0 / gamma, _positive(x), overwrite_x)
 
 
 def odd_power(x, gamma: float) -> Tensor:
@@ -793,16 +824,23 @@ def odd_power(x, gamma: float) -> Tensor:
 
     For odd integer ``gamma`` this equals ``x**gamma`` but stays real-valued
     for any positive ``gamma``, which is what the dualistic convolution
-    (paper Eq. 2) requires.  The derivative is ``gamma * |x|**(gamma-1)``.
+    (paper Eq. 2) requires.  The derivative is ``gamma * |x|**(gamma-1)``;
+    on positive input ``x`` is its own magnitude, so the backward skips
+    the ``abs``.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
+    positive = _positive(x.data)
 
     def backward(grad):
         if x.requires_grad:
-            x._accumulate(grad * gamma * np.abs(x.data) ** (gamma - 1))
+            magnitude = x.data if positive else np.abs(x.data)
+            slope = grad * gamma
+            slope *= magnitude ** (gamma - 1)
+            x._accumulate(slope)
 
-    return Tensor._from_op(odd_power_array(x.data, gamma), (x,), backward,
-                           "odd_power", attrs={"gamma": float(gamma)})
+    return Tensor._from_op(_signed_power(x.data, gamma, positive, False),
+                           (x,), backward, "odd_power",
+                           attrs={"gamma": float(gamma)})
 
 
 def odd_root(x, gamma: float, eps: float = 1e-8) -> Tensor:
@@ -810,17 +848,22 @@ def odd_root(x, gamma: float, eps: float = 1e-8) -> Tensor:
 
     The true derivative diverges at 0; ``eps`` clamps the magnitude in the
     backward pass to keep training numerically stable (documented deviation,
-    standard practice for fractional-power activations).
+    standard practice for fractional-power activations).  On positive
+    input the backward skips the ``abs``, as :func:`odd_power`'s does.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
+    positive = _positive(x.data)
 
     def backward(grad):
         if x.requires_grad:
-            safe = np.maximum(np.abs(x.data), eps)
-            x._accumulate(grad * (1.0 / gamma) * safe ** (1.0 / gamma - 1.0))
+            safe = np.maximum(x.data if positive else np.abs(x.data), eps)
+            safe **= 1.0 / gamma - 1.0
+            slope = grad * (1.0 / gamma)
+            slope *= safe
+            x._accumulate(slope)
 
-    return Tensor._from_op(odd_root_array(x.data, gamma), (x,), backward,
-                           "odd_root",
+    return Tensor._from_op(_signed_power(x.data, 1.0 / gamma, positive, False),
+                           (x,), backward, "odd_root",
                            attrs={"gamma": float(gamma), "eps": float(eps)})
 
 

@@ -162,6 +162,16 @@ class TestAnalyzeGolden:
         golden = json.loads(GOLDEN_PATH.read_text())
         assert self._normalize(payload) == golden
 
+    def test_payload_reads_the_same_from_any_checkout(self, payload):
+        """No wall-clock timing and no absolute path: ``repro analyze
+        --json`` is byte-identical across runs and checkouts."""
+        import repro
+
+        checkout = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.__file__))))
+        assert checkout not in json.dumps(payload)
+        assert all("seconds" not in entry for entry in payload["models"])
+
     def test_covers_every_registered_model(self, payload):
         assert [m["model"] for m in payload["models"]] == available_models()
 

@@ -8,6 +8,7 @@ round-tripping through the one gate).
 """
 
 import json
+import os
 
 import pytest
 
@@ -522,3 +523,15 @@ class TestRealRepository:
             return json.dumps(payload, indent=2, sort_keys=True)
 
         assert render(repo_report) == render(effects_report())
+
+    def test_report_paths_are_repo_relative(self, repo_report):
+        # ``repro analyze --json`` must read the same from any checkout
+        import repro
+
+        payload = json.dumps({key: value for key, value in repo_report.items()
+                              if not key.startswith("_")})
+        checkout = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.__file__))))
+        assert checkout not in payload
+        files = {row["file"] for row in repo_report["findings"]}
+        assert files and all(path.startswith("src/repro/") for path in files)

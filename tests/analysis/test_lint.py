@@ -80,6 +80,21 @@ class TestFloat32:
         source = 'import numpy as np\nx = np.zeros(3, dtype="float32")\n'
         assert "REP103" in _codes(lint_source(source, "src/mod.py"))
 
+    def test_from_numpy_import_float32(self):
+        source = ("from numpy import empty, float32, single\n"
+                  "def f(x):\n    return x.astype(float32), single\n")
+        violations = lint_source(source, "src/mod.py", select=["REP103"])
+        assert [(v.code, v.line) for v in violations] == [("REP103", 3)] * 2
+
+    def test_numpy_module_alias(self):
+        source = "import numpy as xp\nx = xp.float32(1.0)\n"
+        violations = lint_source(source, "src/mod.py")
+        assert [(v.code, v.line) for v in violations] == [("REP103", 2)]
+
+    def test_unrelated_float32_attribute_ignored(self):
+        source = "import numpy as np\ndef f(t):\n    return t.float32\n"
+        assert "REP103" not in _codes(lint_source(source, "src/mod.py"))
+
     def test_tests_are_exempt(self):
         source = "import numpy as np\nx = np.float32(1.0)\n"
         assert "REP103" not in _codes(lint_source(source, "tests/test_x.py"))
@@ -227,6 +242,25 @@ class TestUninitializedEmpty:
         source = ("import numpy as np\ndef f():\n"
                   "    buf = np.empty(4)  # noqa: REP110\n"
                   "    return buf\n")
+        assert "REP110" not in _codes(lint_source(source, "src/mod.py"))
+
+    def test_from_numpy_import_empty(self):
+        source = ("from numpy import empty, empty_like\ndef f(x):\n"
+                  "    buf = empty(4)\n    other = empty_like(x)\n"
+                  "    return buf, other\n")
+        violations = lint_source(source, "src/mod.py", select=["REP110"])
+        assert [(v.code, v.line) for v in violations] == [("REP110", 3),
+                                                          ("REP110", 4)]
+        assert "numpy.empty()" in violations[0].message
+
+    def test_numpy_module_alias_empty(self):
+        source = "import numpy as xp\ndef f():\n    return xp.empty(4)\n"
+        violations = lint_source(source, "src/mod.py", select=["REP110"])
+        assert [(v.code, v.line) for v in violations] == [("REP110", 3)]
+
+    def test_from_import_sanctioned_by_fill(self):
+        source = ("from numpy import empty\ndef f():\n"
+                  "    buf = empty(4)\n    buf.fill(0.0)\n    return buf\n")
         assert "REP110" not in _codes(lint_source(source, "src/mod.py"))
 
     def test_zeros_never_fires(self):

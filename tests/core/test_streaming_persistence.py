@@ -300,6 +300,29 @@ class TestNonFiniteObservations:
         buffer = stream._streams[service.service_id].buffer
         assert np.isfinite(buffer).all()
 
+    def test_observe_rejects_non_finite_and_wrong_shape(self, detector):
+        """``observe`` validates on its own, not only through ``update``."""
+        stream, service = self._started(*detector)
+        before = stream._streams[service.service_id].buffer.copy()
+        observation = service.test[0].copy()
+        observation[2] = -np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            stream.observe(service.service_id, observation)
+        with pytest.raises(ValueError, match="features"):
+            stream.observe(service.service_id, service.test[0][:-1])
+        np.testing.assert_array_equal(
+            stream._streams[service.service_id].buffer, before
+        )
+
+    def test_observe_sanitized_buffers_like_observe(self, detector):
+        fitted, dataset = detector
+        checked, service = self._started(fitted, dataset)
+        unchecked, _ = self._started(fitted, dataset)
+        for row in service.test[:5]:
+            expected = checked.observe(service.service_id, row)
+            actual = unchecked.observe_sanitized(service.service_id, row)
+            assert actual.tobytes() == expected.tobytes()
+
     def test_invalid_mode_rejected(self, detector):
         fitted, _ = detector
         with pytest.raises(ValueError):

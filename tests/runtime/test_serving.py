@@ -87,6 +87,19 @@ class TestHappyPath:
             runtime.update("svc", np.zeros(7))
 
 
+    def test_sanitized_row_is_not_validated_again(self, runtime,
+                                                  monkeypatch):
+        """The sanitizer's output is finite and of the right width, so
+        the runtime buffers it without ``StreamingDetector._validate``."""
+        def fail(*_):
+            raise AssertionError("sanitized row validated a second time")
+
+        monkeypatch.setattr(type(runtime.streaming), "_validate", fail)
+        outcome = runtime.update("svc", np.array([np.nan, 0.5]))
+        assert outcome.ready and outcome.imputed_features == (0,)
+        assert np.isfinite(runtime.current_window("svc")).all()
+
+
 class TestSanitizedInputs:
     def test_nan_observation_reported_not_fatal(self, runtime):
         outcome = runtime.update("svc", np.array([np.nan, 0.0]))
