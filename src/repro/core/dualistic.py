@@ -233,14 +233,14 @@ class DualisticConv1d(Module):
             y += self.shift
         else:
             y = x + self.shift
-        # ``y`` is this method's own array from here on, so each power may
-        # reuse its memory.
-        y = odd_power_array(y, gamma, overwrite_x=True)
+        # ``y`` is this method's own array from here on, so the power and
+        # the root may consume it.
+        y = odd_power_array(y, gamma)
         y *= 1.0 / self.sigma
         # ``[0]``: the im2col matrix is freed as soon as the product exists.
         y = F.conv1d_array(y, kernel, stride=self.stride,
                            padding=self.padding)[0]
-        y = odd_root_array(y, gamma, overwrite_x=True)
+        y = odd_root_array(y, gamma)
         if literal:
             return y
         if self.shift:

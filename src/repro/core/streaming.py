@@ -138,8 +138,8 @@ class StreamingDetector:
         stream = self._require_stream(service_id)
         return self._push(stream, self._validate(stream, observation))
 
-    def observe_sanitized(self, service_id: str,
-                          row: np.ndarray) -> Optional[np.ndarray]:
+    def _observe_sanitized(self, service_id: str,
+                           row: np.ndarray) -> Optional[np.ndarray]:
         """:meth:`observe` for a row that is already valid, unchecked.
 
         ``row`` must be a finite float64 ``(features,)`` array, as

@@ -774,49 +774,41 @@ def _positive(x: np.ndarray) -> bool:
     return x.size > 0 and x.min() > 0.0
 
 
-def _signed_power(x: np.ndarray, exponent: float, positive: bool,
-                  overwrite_x: bool) -> np.ndarray:
-    """``sign(x) * |x|**exponent``, with ``positive = _positive(x)``.
+def _copysign_power(x: np.ndarray, exponent: float) -> np.ndarray:
+    """``sign(x) * |x|**exponent`` in one fresh array; ``x`` is left alone.
 
-    A positive ``x`` is its own magnitude and sign, so the plain
-    ``x ** exponent`` is the same value bit for bit, without the ``abs``
-    and ``copysign`` passes.  Both branches keep ``**``'s scalar-power
-    dispatch (``2.0`` squares, ``0.5`` takes a square root), so they
-    round alike.  With ``overwrite_x`` the positive branch powers ``x``
-    in place and returns it.
+    The sign is copied onto the magnitude (``np.copysign``) rather than
+    multiplied in, which saves a full-array pass.  The power is taken in
+    place (``**=`` keeps ``**``'s scalar-power dispatch: ``2.0`` squares,
+    ``0.5`` takes a square root).
     """
-    if positive:
-        if overwrite_x:
-            x **= exponent
-            return x
-        return x ** exponent
     power = np.abs(x)
     power **= exponent
     return np.copysign(power, x, out=power)
 
 
-def odd_power_array(x: np.ndarray, gamma: float,
-                    overwrite_x: bool = False) -> np.ndarray:
+def odd_power_array(x: np.ndarray, gamma: float) -> np.ndarray:
     """Sign-preserving power ``sign(x) * |x|**gamma`` of an array.
 
-    The sign is copied onto the magnitude (``np.copysign``) rather than
-    multiplied in, which saves a full-array pass.  That is bitwise equal
-    to ``np.sign(x) * |x|**gamma`` except at zero: ``-0.0`` keeps its
-    sign, and ``±0`` with a negative ``gamma`` gives ``±inf`` instead of
-    ``0 * inf``.  An input with every element above zero (the shifted
-    dualistic convolution's) skips the sign: ``x ** gamma`` is the same
-    bits.  ``overwrite_x=True`` lets the result reuse ``x``'s memory;
-    callers then use only the returned array.
+    Bitwise equal to ``np.sign(x) * |x|**gamma`` except at zero: ``-0.0``
+    keeps its sign, and ``±0`` with a negative ``gamma`` gives ``±inf``
+    instead of ``0 * inf``.  An input with every element above zero (the
+    shifted dualistic convolution's) is its own magnitude and sign, so it
+    is powered in place with ``**=``: the same bits, without the ``abs``
+    and ``copysign`` passes.  ``x`` is therefore consumed: callers pass
+    an array of their own and use only the returned one.
     """
-    return _signed_power(x, gamma, _positive(x), overwrite_x)
+    if _positive(x):
+        x **= gamma
+        return x
+    return _copysign_power(x, gamma)
 
 
-def odd_root_array(x: np.ndarray, gamma: float,
-                   overwrite_x: bool = False) -> np.ndarray:
+def odd_root_array(x: np.ndarray, gamma: float) -> np.ndarray:
     """Sign-preserving ``gamma``-th root of an array, inverse of
-    :func:`odd_power_array`, with the same two exceptions at zero and
-    the same fast path for positive input."""
-    return _signed_power(x, 1.0 / gamma, _positive(x), overwrite_x)
+    :func:`odd_power_array`, with the same two exceptions at zero; it
+    consumes ``x`` in the same way."""
+    return odd_power_array(x, 1.0 / gamma)
 
 
 def odd_power(x, gamma: float) -> Tensor:
@@ -838,8 +830,8 @@ def odd_power(x, gamma: float) -> Tensor:
             slope *= magnitude ** (gamma - 1)
             x._accumulate(slope)
 
-    return Tensor._from_op(_signed_power(x.data, gamma, positive, False),
-                           (x,), backward, "odd_power",
+    data = x.data ** gamma if positive else _copysign_power(x.data, gamma)
+    return Tensor._from_op(data, (x,), backward, "odd_power",
                            attrs={"gamma": float(gamma)})
 
 
@@ -862,8 +854,10 @@ def odd_root(x, gamma: float, eps: float = 1e-8) -> Tensor:
             slope *= safe
             x._accumulate(slope)
 
-    return Tensor._from_op(_signed_power(x.data, 1.0 / gamma, positive, False),
-                           (x,), backward, "odd_root",
+    exponent = 1.0 / gamma
+    data = (x.data ** exponent if positive
+            else _copysign_power(x.data, exponent))
+    return Tensor._from_op(data, (x,), backward, "odd_root",
                            attrs={"gamma": float(gamma), "eps": float(eps)})
 
 

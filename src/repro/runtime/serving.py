@@ -352,7 +352,7 @@ class ServingRuntime:
         if report.gap_exceeded:
             health.note_degraded_input()
 
-        window = self.streaming.observe_sanitized(service_id, clean)
+        window = self.streaming._observe_sanitized(service_id, clean)
         if window is None:
             return self._outcome(service_id, health, report,
                                  score=0.0, is_alert=False, ready=False,

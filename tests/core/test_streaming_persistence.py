@@ -320,7 +320,7 @@ class TestNonFiniteObservations:
         unchecked, _ = self._started(fitted, dataset)
         for row in service.test[:5]:
             expected = checked.observe(service.service_id, row)
-            actual = unchecked.observe_sanitized(service.service_id, row)
+            actual = unchecked._observe_sanitized(service.service_id, row)
             assert actual.tobytes() == expected.tobytes()
 
     def test_invalid_mode_rejected(self, detector):
