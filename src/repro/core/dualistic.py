@@ -217,35 +217,65 @@ class DualisticConv1d(Module):
         """:meth:`forward` on a plain array, without a tape.
 
         The same kernels in the same order and memory layouts, so the
-        result is bitwise equal to ``forward(Tensor(x)).data``.  Each step
-        rebinds ``y`` and scales it in place, so a batch-sized
-        intermediate is freed as soon as the next one exists.
+        result is bitwise equal to ``forward(Tensor(x)).data``.
         """
-        gamma = float(self.gamma)
         kernel, correction = self._scoring_kernel()
-        literal = self.mode == "valley" and self.valley_mode == "negative_gamma"
-        negate = self.mode == "valley" and not literal
-        if literal:
+        # ``[0]``: the im2col matrix is freed as soon as the product exists.
+        y = F.conv1d_array(self._power_array(x), kernel, stride=self.stride,
+                           padding=self.padding)[0]
+        return self._root_array(y, correction)
+
+    def forward_tiles(self, tiles: np.ndarray) -> np.ndarray:
+        """:meth:`forward_array` for ``stride == kernel_size`` and no
+        padding, from the ``(C, K, R, L)`` tiles of its input
+        (``F.tile_array``) to the ``(O, R, L)`` product layout
+        (``F.conv1d_tiles``).  The same steps on the same values, so the
+        result is bitwise equal to ``forward_array``'s, transposed."""
+        if self.stride != self.kernel_size or self.padding:
+            raise ValueError("tiles need stride == kernel_size and no padding")
+        kernel, correction = self._scoring_kernel()
+        y = F.conv1d_tiles(self._power_array(tiles), kernel)
+        if correction is not None:
+            correction = correction.reshape(-1, 1, 1)
+        return self._root_array(y, correction)
+
+    def _literal(self) -> bool:
+        return self.mode == "valley" and self.valley_mode == "negative_gamma"
+
+    def _power_array(self, x: np.ndarray) -> np.ndarray:
+        """The steps before the convolution, on a plain array: the literal
+        valley's clamp, or the negation and the shift; then the power and
+        ``1/σ``.  Elementwise: the result keeps ``x``'s layout, and ``x``
+        is left alone.  Each step rebinds ``y`` and scales it in place, so
+        a batch-sized intermediate is freed as soon as the next exists."""
+        gamma = float(self.gamma)
+        if self._literal():
             y = clip_array(np.abs(x), self.eps, np.inf) * self._directions(x)
             gamma = -gamma
-        elif negate:
+        elif self.mode == "valley":
             y = x * -1.0
             y += self.shift
         else:
             y = x + self.shift
-        # ``y`` is this method's own array from here on, so the power and
-        # the root may consume it.
+        # ``y`` is this method's own array from here on, so the power may
+        # consume it.
         y = odd_power_array(y, gamma)
         y *= 1.0 / self.sigma
-        # ``[0]``: the im2col matrix is freed as soon as the product exists.
-        y = F.conv1d_array(y, kernel, stride=self.stride,
-                           padding=self.padding)[0]
-        y = odd_root_array(y, gamma)
+        return y
+
+    def _root_array(self, y: np.ndarray,
+                    correction: np.ndarray | None) -> np.ndarray:
+        """The steps after the convolution, consuming its product ``y``:
+        the root, then the shift ``correction`` (broadcast to ``y``'s
+        layout) and the valley's negation."""
+        literal = self._literal()
+        y = odd_root_array(y, -float(self.gamma) if literal
+                           else float(self.gamma))
         if literal:
             return y
         if self.shift:
             y -= correction
-        if negate:
+        if self.mode == "valley":
             y *= -1.0
         return y
 

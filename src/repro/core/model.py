@@ -15,8 +15,7 @@ service-specific state lives in the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from repro.nn import functional as F
 from repro.nn.modules.activations import LeakyReLU
 from repro.nn.modules.base import Module
 from repro.nn.modules.conv import Conv1d, ConvTranspose1d
-from repro.nn.tensor import Tensor, maximum, pad1d, pad1d_array
+from repro.nn.tensor import Tensor, maximum, pad1d
 
 __all__ = ["MaceConfig", "MaceOutput", "MaceModel"]
 
@@ -166,24 +165,21 @@ class _Branch(Module):
         spectrum = self.head(decoded)  # (N*m, 1, padded_width)
         return spectrum[:, 0, :width]
 
-    def forward_array(self, representation: np.ndarray,
-                      width: int) -> np.ndarray:
-        """:meth:`forward` on a plain array, without a tape (bitwise equal)."""
-        padding = self._padding(representation.shape[-1])
-        y = representation
-        if padding:
-            y = pad1d_array(y, 0, padding)
-        # Rebinding ``y`` frees each intermediate once the next exists,
-        # and ``[0]`` drops the operand each kernel returns for a backward.
-        y = self.encoder.forward_array(y)
+    def forward_array(self, tiles: np.ndarray, width: int) -> np.ndarray:
+        """:meth:`forward` on the ``(C, K, N*m, L)`` tiles of its padded
+        input (``F.tile_array``), without a tape: ``(N*m, width)``, bitwise
+        equal.
+
+        Every step stays in the tiled layout: the encoder's product is the
+        decoder's input matrix, the decoder's product its output tiles,
+        and only the head's one-channel result is untiled.
+        """
         decoder, head = self.decoder, self.head
-        y = F.conv_transpose1d_array(y, decoder.weight.data,
-                                     decoder.bias.data,
-                                     stride=decoder.stride,
-                                     padding=decoder.padding)[0]
+        y = self.encoder.forward_tiles(tiles)  # (2C, N*m, L)
+        y = F.conv_transpose1d_tiles(y, decoder.weight.data,
+                                     decoder.bias.data)  # (C, K, N*m, L)
         y = F.leaky_relu_array(y, self.activation.negative_slope)
-        y = F.conv1d_array(y, head.weight.data, head.bias.data,
-                           stride=head.stride, padding=head.padding)[0]
+        y = F.pointwise_conv1d_tiles(y, head.weight.data, head.bias.data)
         return y[:, 0, :width]
 
 
@@ -275,10 +271,15 @@ class MaceModel(Module):
         """:meth:`forward` then :meth:`timestep_errors`, on plain arrays.
 
         Scoring never calls ``backward``, so it builds no ``Tensor`` and
-        no tape.  Every stage runs its module's ``forward_array``, which
-        calls the kernels the taped ops call, in the same order and memory
-        layouts, so the ``(N, T)`` errors are bitwise equal to the taped
-        path's at every batch size (``tests/core/test_tape_free.py``).
+        no tape.  The amplifier, the DFT, the characterization and the
+        IDFT run their modules' ``forward_array``, the kernels the taped
+        ops call, on the same layouts.  The branches run in the
+        encoder's im2col layout instead: the representation is tiled once
+        for both, and each branch takes the taped path's products on the
+        same operand matrices, less the copies between layouts
+        (:meth:`_Branch.forward_array`).  So the ``(N, T)`` errors are
+        bitwise equal to the taped path's at every batch size
+        (``tests/core/test_tape_free.py``).
         """
         if windows.ndim != 3:
             raise ValueError("windows must be (N, T, m)")
@@ -291,27 +292,23 @@ class MaceModel(Module):
         del windows
         dft, idft = extractor.transforms(service_id, self.dtype)
         coeffs = dft.forward_array(amplified)  # (N, m, 2k)
-        width = coeffs.shape[-1]
+        n, m, width = coeffs.shape
         representation = self.characterization.forward_array(
             coeffs, extractor.subspace(service_id))  # (N*m, C, 2k)
         del coeffs
-        errors = [self._branch_errors(branch, representation, width, idft,
-                                      amplified)
-                  for branch in (self.peak_branch, self.valley_branch)]
+        tiles = F.tile_array(representation, self.config.kernel_freq)
+        del representation
+        errors = []
+        for branch in (self.peak_branch, self.valley_branch):
+            spectrum = branch.forward_array(tiles, width).reshape(n, m, width)
+            diff = idft.forward_array(spectrum) - amplified
+            del spectrum
+            # Tensor.mean's sum times the reciprocal count.
+            errors.append((diff * diff).sum(axis=-1) * (1.0 / diff.shape[-1]))
+            del diff
         if self.config.select_max_error:
             return np.maximum(errors[0], errors[1])
         return 0.5 * (errors[0] + errors[1])
-
-    @staticmethod
-    def _branch_errors(branch: _Branch, representation: np.ndarray,
-                       width: int, idft, amplified: np.ndarray) -> np.ndarray:
-        """One branch's ``(N, T)`` errors for :meth:`score_windows`.  A
-        function of its own, so its temporaries are freed on return."""
-        n, _, m = amplified.shape
-        spectrum = branch.forward_array(representation, width)
-        diff = idft.forward_array(spectrum.reshape(n, m, width)) - amplified
-        # Tensor.mean's sum times the reciprocal count.
-        return (diff * diff).sum(axis=-1) * (1.0 / diff.shape[-1])
 
     def prepare_scoring(self, extractor: PatternExtractor,
                         service_id: str) -> None:

@@ -17,10 +17,17 @@ the layout, so this gives:
 
 * results bitwise equal to the einsum formulation, forward and backward
   (``tests/nn/test_conv_reference.py`` keeps einsum as the reference);
-* batch-size invariance: the batch index only ever lands on the column
-  axis of the right operand, so each window's result is the same bits
-  whether it is scored alone or in a batch (below float64, a one-row
-  weight also needs einsum's loop for that; see ``_product``).
+* the batch index only ever lands on the column axis of the right
+  operand, so a window's columns hold the same values whether it is
+  scored alone or in a batch.  That makes its result the same bits only
+  where BLAS rounds a column the same at any column count.  It does not
+  always: with 3, 5 or 7 features (and 6 in float32), or the float32
+  full-spectrum ablations, a window scored alone differs in its last
+  bits from the same window in a batch of 256 (CHANGES.md FOUND, batch
+  invariance with odd feature counts; ``tests/core/test_float32.py``
+  keeps strict xfails).  smd's 8 features are batch-invariant in both
+  dtypes.  Below float64 a one-row weight takes einsum's loop, which
+  sums each column alone (``_product``).
 
 The obvious row-major ``cols @ W.T`` is *not* equivalent.  It changes the
 summation order (up to 6e-16 relative) and breaks batch-size invariance.
@@ -35,13 +42,17 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from repro.nn.tensor import Tensor, concatenate, maximum, where
+from repro.nn.tensor import Tensor, concatenate, maximum, pad1d_array, where
 
 __all__ = [
     "conv1d",
     "conv1d_array",
     "conv_transpose1d",
     "conv_transpose1d_array",
+    "tile_array",
+    "conv1d_tiles",
+    "conv_transpose1d_tiles",
+    "pointwise_conv1d_tiles",
     "avg_pool1d",
     "max_pool1d",
     "linear",
@@ -137,6 +148,14 @@ def _matrix(view: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return matrix
 
 
+def _columnwise(a: np.ndarray) -> bool:
+    """Whether ``_product(a, b)`` computes each column of its result from
+    that column of ``b`` alone, the same way wherever the column sits: an
+    elementwise outer product, or einsum's one-row loop.  Otherwise it
+    calls BLAS, whose kernels may round a column by its position."""
+    return a.shape[1] == 1 or (a.shape[0] == 1 and a.dtype != np.float64)
+
+
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b``; when the contracted size is 1, einsum's elementwise outer
     product instead, which keeps the products' signed zeros.
@@ -145,11 +164,14 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sum-of-products loop rather than BLAS: BLAS's single-row kernels round
     the last columns differently depending on how many there are, which
     would make a window's score depend on the batch it was scored in.  In
-    float64 the BLAS call is batch-invariant and stays.
+    float64 the single-row product stays on BLAS; so does every product
+    with more rows, in either dtype, and they share that column-count
+    dependence (CHANGES.md FOUND, batch invariance with odd feature
+    counts).
     """
     if a.shape[1] == 1:
         return a * b
-    if a.shape[0] == 1 and a.dtype != np.float64:
+    if _columnwise(a):
         return np.einsum("k,kn->n", a[0], b)[None]
     return a @ b
 
@@ -324,6 +346,116 @@ def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                                   "padding": int(padding),
                                   "kernel": int(kernel),
                                   "in_channels": int(c_in)})
+
+
+# --- the tiled layout ----------------------------------------------------------
+#
+# A stack of convolutions whose windows tile the axis (stride == kernel, no
+# padding) can stay in one layout from input to output: the im2col operand
+# of ``conv1d_array``, ``tiles[c, k, r, l] = x[r, c, l*K + k]``, shape
+# ``(C, K, R, L)``.  Each kernel below takes the product its ``*_array``
+# counterpart takes, on the same operand matrices (``tile_array`` keeps
+# ``conv1d_array``'s layout), so the values are bitwise equal; only the
+# copies into and out of the product's layout are gone.
+
+def tile_array(x: np.ndarray, kernel: int) -> np.ndarray:
+    """``(R, C, W)`` to its ``(C, K, R, L)`` tiles, in one copy.
+
+    The last axis is zero-padded to ``L * K`` with ``L = ceil(W / K)``,
+    as ``pad1d_array`` pads it ahead of a stride-``K`` ``conv1d_array``.
+    The tiles are C-ordered, which is the layout ``conv1d_array`` gives
+    its operand unless an axis has size 1.  Then ``_matrix`` keeps the
+    source's stride order, which BLAS and einsum can round differently,
+    so the tiles are built the way ``conv1d_array`` builds them.
+    """
+    rows, channels, width = x.shape
+    length = -(-width // kernel)
+    if 1 in (channels, kernel, rows, length):
+        padding = length * kernel - width
+        padded = pad1d_array(x, 0, padding) if padding else x
+        cols = _matrix(_windows(padded, kernel, kernel).transpose(1, 3, 0, 2),
+                       channels * kernel, rows * length)
+        # Splitting axes is a view, so the layout survives.
+        return cols.reshape(channels, kernel, rows, length)
+    full = width // kernel
+    tiles = np.empty((channels, kernel, rows, length), dtype=x.dtype)  # noqa: REP110 - every slot written below
+    windows = tiles.transpose(2, 0, 3, 1)  # (R, C, L, K) view
+    windows[:, :, :full] = x[..., :full * kernel].reshape(
+        rows, channels, full, kernel)
+    if full < length:
+        tail = width - full * kernel
+        windows[:, :, full, :tail] = x[..., full * kernel:]
+        windows[:, :, full, tail:] = 0.0
+    return tiles
+
+
+def conv1d_tiles(tiles: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """:func:`conv1d_array` with ``stride == K``, no padding and no bias, on
+    ``(C, K, R, L)`` tiles: the ``(O, R, L)`` product.
+
+    ``conv1d_array`` returns this product as its ``(R, O, L)`` transpose,
+    and ``conv_transpose1d_array`` takes that transpose back to this
+    ``(O, R*L)`` matrix, so it is also :func:`conv_transpose1d_tiles`'s
+    input.
+    """
+    c_in, kernel, rows, length = tiles.shape
+    c_out = weight.shape[0]
+    out = _product(_matrix(weight, c_out, c_in * kernel),
+                   tiles.reshape(c_in * kernel, rows * length))
+    return out.reshape(c_out, rows, length)
+
+
+def conv_transpose1d_tiles(x: np.ndarray, weight: np.ndarray,
+                           bias: np.ndarray | None = None) -> np.ndarray:
+    """:func:`conv_transpose1d_array` with ``stride == K`` and no padding,
+    from its ``(C_in, R, L)`` input matrix to the ``(O, K, R, L)`` tiles of
+    its output.
+
+    With ``stride == K`` each output slot takes exactly one window's
+    contribution, so the product already holds the output: no zero-filled
+    array and no overlap-add.  ``+ 0.0`` keeps ``_overlap_add``'s
+    ``0.0 + contribution``, which turns ``-0.0`` into ``+0.0``.
+    """
+    c_in, rows, length = x.shape
+    _, c_out, kernel = weight.shape
+    out = _product(_matrix(weight.transpose(1, 2, 0), c_out * kernel, c_in),
+                   x.reshape(c_in, rows * length))
+    out += 0.0
+    out = out.reshape(c_out, kernel, rows, length)
+    if bias is not None:
+        out += bias[:, None, None, None]
+    return out
+
+
+def pointwise_conv1d_tiles(tiles: np.ndarray, weight: np.ndarray,
+                           bias: np.ndarray | None = None) -> np.ndarray:
+    """:func:`conv1d_array` with a one-tap ``(O, C, 1)`` kernel on
+    ``(C, K, R, L)`` tiles: its ``(R, O, L*K)`` output, untiled.
+
+    ``conv1d_array`` multiplies the weight with a ``(C, R*L*K)`` copy of
+    the input whose columns run in ``(r, l*K + k)`` order.  When
+    ``_product`` sums each column alone (``_columnwise``) the tiles, read
+    as ``(C, K*R*L)``, are that matrix with its columns permuted: the same
+    values from no copy, and only the ``O``-row result is permuted back.
+    A BLAS product keeps the copy, because BLAS may round a column by its
+    position.
+    """
+    c_in, kernel, rows, length = tiles.shape
+    c_out = weight.shape[0]
+    w = _matrix(weight, c_out, c_in)
+    if _columnwise(w):
+        out = _product(w, tiles.reshape(c_in, kernel * rows * length))
+        order = (2, 0, 3, 1)  # (O, K, R, L) -> (R, O, L, K)
+        shape = (c_out, kernel, rows, length)
+    else:
+        cols = tiles.transpose(0, 2, 3, 1).reshape(c_in, -1)
+        out = _product(w, cols)
+        order = (1, 0, 2)  # (O, R, L*K) -> (R, O, L*K)
+        shape = (c_out, rows, length * kernel)
+    if bias is not None:
+        out += bias[:, None]
+    return out.reshape(shape).transpose(order).reshape(
+        rows, c_out, length * kernel)
 
 
 def avg_pool1d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
