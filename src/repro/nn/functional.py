@@ -359,34 +359,20 @@ def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 # copies into and out of the product's layout are gone.
 
 def tile_array(x: np.ndarray, kernel: int) -> np.ndarray:
-    """``(R, C, W)`` to its ``(C, K, R, L)`` tiles, in one copy.
+    """``(R, C, W)`` to its ``(C, K, R, L)`` tiles: ``conv1d_array``'s
+    im2col operand for a stride-``K`` convolution, built the same way.
 
     The last axis is zero-padded to ``L * K`` with ``L = ceil(W / K)``,
     as ``pad1d_array`` pads it ahead of a stride-``K`` ``conv1d_array``.
-    The tiles are C-ordered, which is the layout ``conv1d_array`` gives
-    its operand unless an axis has size 1.  Then ``_matrix`` keeps the
-    source's stride order, which BLAS and einsum can round differently,
-    so the tiles are built the way ``conv1d_array`` builds them.
     """
     rows, channels, width = x.shape
     length = -(-width // kernel)
-    if 1 in (channels, kernel, rows, length):
-        padding = length * kernel - width
-        padded = pad1d_array(x, 0, padding) if padding else x
-        cols = _matrix(_windows(padded, kernel, kernel).transpose(1, 3, 0, 2),
-                       channels * kernel, rows * length)
-        # Splitting axes is a view, so the layout survives.
-        return cols.reshape(channels, kernel, rows, length)
-    full = width // kernel
-    tiles = np.empty((channels, kernel, rows, length), dtype=x.dtype)  # noqa: REP110 - every slot written below
-    windows = tiles.transpose(2, 0, 3, 1)  # (R, C, L, K) view
-    windows[:, :, :full] = x[..., :full * kernel].reshape(
-        rows, channels, full, kernel)
-    if full < length:
-        tail = width - full * kernel
-        windows[:, :, full, :tail] = x[..., full * kernel:]
-        windows[:, :, full, tail:] = 0.0
-    return tiles
+    padding = length * kernel - width
+    padded = pad1d_array(x, 0, padding) if padding else x
+    cols = _matrix(_windows(padded, kernel, kernel).transpose(1, 3, 0, 2),
+                   channels * kernel, rows * length)
+    # Splitting axes is a view, so the layout survives.
+    return cols.reshape(channels, kernel, rows, length)
 
 
 def conv1d_tiles(tiles: np.ndarray, weight: np.ndarray) -> np.ndarray:
