@@ -1,15 +1,17 @@
 """Saving and loading module state dicts via ``numpy.savez``.
 
-Writes are **crash-safe**: the archive is written to a temporary sibling
-file and atomically renamed into place (``os.replace``), so a process
-killed mid-save can never leave a truncated ``.npz`` at the destination
-path.  Loads raise a typed :class:`SerializationError` (with the path in
-the message) instead of whatever ``zipfile``/``numpy`` internals happen to
+Writes are **crash-safe**: the archive is serialized in memory, written
+to a temporary sibling file, fsynced and atomically renamed into place
+(:func:`atomic_replace`), so neither a process killed mid-save nor a
+power cut can leave a truncated ``.npz`` at the destination path.
+Loads raise a typed :class:`SerializationError` (with the path in the
+message) instead of whatever ``zipfile``/``numpy`` internals happen to
 throw on a missing or corrupted archive.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import tempfile
 import zipfile
@@ -83,23 +85,10 @@ def atomic_replace(path: str | Path, data: bytes) -> Path:
 
 
 def save_state(state: Dict[str, np.ndarray], path: str | Path) -> None:
-    """Write a state dict to ``path`` (``.npz``), atomically."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    descriptor, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp.npz"
-    )
-    os.close(descriptor)
-    try:
-        np.savez(tmp_name, **state)
-        os.replace(tmp_name, path)
-        fsync_directory(path.parent)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except FileNotFoundError:
-            pass
-        raise
+    """Write a state dict to ``path`` (``.npz``) through :func:`atomic_replace`."""
+    buffer = io.BytesIO()
+    np.savez(buffer, **state)
+    atomic_replace(path, buffer.getvalue())
 
 
 def load_state(path: str | Path) -> Dict[str, np.ndarray]:

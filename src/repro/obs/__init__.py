@@ -5,8 +5,8 @@ reproduction measures it from the inside (DESIGN.md §11):
 
 ``repro.obs.metrics``
     Dependency-free registry of counters, gauges and streaming histograms
-    (P² quantiles), with bitwise-stable JSONL export and associative
-    cross-process merge.
+    (quantiles from fixed log-spaced buckets), with bitwise-stable JSONL
+    export and associative cross-process merge.
 ``repro.obs.tracing``
     Nested context-manager wall-time spans with a near-zero-cost
     disabled path, so call sites can live in hot loops permanently.
@@ -47,7 +47,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    P2Quantile,
     get_registry,
     install_registry,
 )
@@ -72,7 +71,7 @@ from repro.obs.report import RunTelemetry, load_run, render_report
 from repro.obs.console import render_top, run_top
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "P2Quantile", "MetricsRegistry",
+    "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "DEFAULT_BUCKETS", "DEFAULT_QUANTILES",
     "get_registry", "install_registry",
     "SpanRecord", "Tracer", "span", "enable_tracing", "disable_tracing",

@@ -18,16 +18,14 @@ Design constraints, in order:
    last-writer-wins, histogram merge combines the fixed bucket counts and
    the count/sum/min/max moments — an **associative** operation, so the
    merged fleet view does not depend on worker scheduling.
-3. **Cheap.**  ``Histogram.observe`` is a bisect plus three P² marker
-   updates; ``Counter.inc`` is one float add.  Hot loops should hold the
-   metric object directly instead of re-resolving it through the registry
-   per iteration.
+3. **Cheap.**  ``Histogram.observe`` is a bisect plus a few adds;
+   ``Counter.inc`` is one float add.  Hot loops should hold the metric
+   object directly instead of re-resolving it through the registry per
+   iteration.
 
-Histogram quantiles use the P² algorithm (Jain & Chlamtac, 1985): five
-markers per tracked quantile, updated in O(1) per observation, no sample
-buffer.  P² state is *per stream* and does not merge; a merged histogram
-answers :meth:`Histogram.quantile` from its bucket counts instead (the
-resolution of the fixed log-spaced grid, which is what makes the merge
+Histogram quantiles interpolate the fixed log-spaced bucket counts, so a
+live histogram, any merge of it and its JSONL reload answer the same
+quantile (at the resolution of the grid, which is what makes the merge
 associative).
 """
 
@@ -38,7 +36,6 @@ from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "P2Quantile",
     "Counter",
     "Gauge",
     "Histogram",
@@ -58,100 +55,6 @@ DEFAULT_BUCKETS: Tuple[float, ...] = tuple(
 )
 
 DEFAULT_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.99)
-
-
-class P2Quantile:
-    """Streaming estimate of one quantile via the P² marker algorithm.
-
-    Exact for the first five observations (it simply sorts them);
-    afterwards five markers track ``[min, q/2-ish, q, (1+q)/2-ish, max]``
-    heights and are nudged with piecewise-parabolic interpolation.  The
-    update is deterministic, so a fixed insertion order yields a fixed
-    estimate.
-    """
-
-    __slots__ = ("q", "_heights", "_positions", "_desired", "_increments")
-
-    def __init__(self, q: float):
-        if not 0.0 < q < 1.0:
-            raise ValueError("quantile must be in (0, 1)")
-        self.q = q
-        self._heights: List[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    @property
-    def count(self) -> int:
-        if len(self._heights) < 5:
-            return len(self._heights)
-        return int(self._positions[4])
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        if len(self._heights) < 5:
-            self._heights.append(value)
-            self._heights.sort()
-            return
-        heights, positions = self._heights, self._positions
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-        for index in range(cell + 1, 5):
-            positions[index] += 1.0
-        for index in range(5):
-            self._desired[index] += self._increments[index]
-        for index in (1, 2, 3):
-            drift = self._desired[index] - positions[index]
-            step_up = positions[index + 1] - positions[index]
-            step_down = positions[index - 1] - positions[index]
-            if (drift >= 1.0 and step_up > 1.0) or (drift <= -1.0
-                                                    and step_down < -1.0):
-                sign = 1.0 if drift >= 1.0 else -1.0
-                candidate = self._parabolic(index, sign)
-                if heights[index - 1] < candidate < heights[index + 1]:
-                    heights[index] = candidate
-                else:
-                    heights[index] = self._linear(index, sign)
-                positions[index] += sign
-
-    def _parabolic(self, index: int, sign: float) -> float:
-        heights, positions = self._heights, self._positions
-        span = positions[index + 1] - positions[index - 1]
-        upper = ((positions[index] - positions[index - 1] + sign)
-                 * (heights[index + 1] - heights[index])
-                 / (positions[index + 1] - positions[index]))
-        lower = ((positions[index + 1] - positions[index] - sign)
-                 * (heights[index] - heights[index - 1])
-                 / (positions[index] - positions[index - 1]))
-        return heights[index] + sign * (upper + lower) / span
-
-    def _linear(self, index: int, sign: float) -> float:
-        heights, positions = self._heights, self._positions
-        step = int(sign)
-        return heights[index] + sign * (
-            (heights[index + step] - heights[index])
-            / (positions[index + step] - positions[index])
-        )
-
-    def value(self) -> float:
-        """Current estimate (NaN before any observation)."""
-        if not self._heights:
-            return float("nan")
-        if len(self._heights) < 5:
-            ordered = sorted(self._heights)
-            rank = self.q * (len(ordered) - 1)
-            low = int(rank)
-            high = min(low + 1, len(ordered) - 1)
-            return ordered[low] + (rank - low) * (ordered[high] - ordered[low])
-        return self._heights[2]
 
 
 class Counter:
@@ -202,20 +105,18 @@ class Gauge:
 
 
 class Histogram:
-    """Streaming histogram: moments + fixed buckets + P² quantiles.
+    """Streaming histogram: exact moments + fixed buckets.
 
-    ``observe`` feeds three views of the stream:
+    ``observe`` feeds two views of the stream:
 
     * exact moments — count, sum, min, max;
     * fixed log-spaced bucket counts (``bounds[i]`` is the inclusive
       upper edge of bucket ``i``; the final bucket is the +inf overflow),
-      which merge associatively across processes;
-    * one :class:`P2Quantile` per :data:`DEFAULT_QUANTILES` entry, the
-      high-resolution view for the stream this instance saw itself.
+      which merge associatively across processes.
 
-    After :meth:`merge` the P² state is dropped (it is not mergeable) and
-    :meth:`quantile` falls back to interpolating the merged bucket counts,
-    so any grouping of the same histograms merges to the same state.
+    :meth:`quantile` interpolates the bucket counts, so any grouping of
+    the same histograms merges to the same state and answers the same
+    quantiles.
 
     ``observe(value, exemplar=...)`` additionally keeps one *exemplar*
     per bucket: the trace id of the worst (largest) observation that
@@ -225,7 +126,7 @@ class Histogram:
     """
 
     __slots__ = ("name", "labels", "bounds", "bucket_counts", "count",
-                 "total", "min", "max", "exemplars", "_estimators")
+                 "total", "min", "max", "exemplars")
     kind = "histogram"
 
     def __init__(self, name: str, labels: Tuple[Tuple[str, str], ...] = (),
@@ -243,9 +144,6 @@ class Histogram:
         # bucket index -> {"value": worst observation, "trace_id": its
         # trace}; empty until an exemplar-carrying observation arrives.
         self.exemplars: Dict[int, dict] = {}
-        self._estimators: Optional[Dict[float, P2Quantile]] = {
-            float(q): P2Quantile(q) for q in DEFAULT_QUANTILES
-        }
 
     def observe(self, value: float,
                 exemplar: Optional[str] = None) -> None:
@@ -263,9 +161,6 @@ class Histogram:
             if worst is None or value > worst["value"]:
                 self.exemplars[bucket] = {"value": value,
                                           "trace_id": str(exemplar)}
-        if self._estimators is not None:
-            for estimator in self._estimators.values():
-                estimator.observe(value)
 
     def worst_exemplar(self) -> Optional[dict]:
         """Exemplar of the highest populated bucket (the p100-ish trace).
@@ -282,16 +177,13 @@ class Histogram:
         return self.total / self.count if self.count else float("nan")
 
     def quantile(self, q: float) -> float:
-        """P² estimate when available, bucket interpolation after a merge."""
+        """Linear interpolation within the bucket holding rank ``q * count``.
+
+        The bucket's edges are clamped to the observed min and max; NaN
+        for an empty histogram.
+        """
         if self.count == 0:
             return float("nan")
-        if self._estimators is not None:
-            estimator = self._estimators.get(float(q))
-            if estimator is not None:
-                return estimator.value()
-        return self._bucket_quantile(q)
-
-    def _bucket_quantile(self, q: float) -> float:
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
         target = q * self.count
@@ -327,9 +219,6 @@ class Histogram:
             mine = self.exemplars.get(bucket)
             if mine is None or exemplar["value"] > mine["value"]:
                 self.exemplars[bucket] = dict(exemplar)
-        # Two P² marker sets cannot be combined without the raw stream;
-        # quantile() answers from the merged buckets from here on.
-        self._estimators = None
 
     def snapshot(self) -> dict:
         quantiles = {}
@@ -457,11 +346,7 @@ class MetricsRegistry:
 
 
 def _from_snapshot(snap: dict):
-    """Reconstruct a metric from its snapshot dict.
-
-    Histograms come back without P² state (buckets/moments only), exactly
-    like a merged histogram — which is what cross-process metrics are.
-    """
+    """Reconstruct a metric from its snapshot dict."""
     labels = tuple(sorted((k, str(v)) for k, v in snap.get("labels",
                                                            {}).items()))
     kind = snap["kind"]
@@ -487,7 +372,6 @@ def _from_snapshot(snap: dict):
                           "trace_id": str(exemplar["trace_id"])}
             for bucket, exemplar in snap.get("exemplars", {}).items()
         }
-        metric._estimators = None
         return metric
     raise ValueError(f"unknown metric kind in snapshot: {kind!r}")
 

@@ -103,8 +103,6 @@ class TrafficReport:
     rejections: Dict[str, int] = field(default_factory=dict)
     faults_fired: Dict[str, int] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
-    ack_p50: float = float("nan")
-    ack_p99: float = float("nan")
     final_sequence: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -126,8 +124,6 @@ class TrafficReport:
             "faults_fired": dict(sorted(self.faults_fired.items())),
             "elapsed_seconds": self.elapsed_seconds,
             "points_per_second": self.points_per_second,
-            "ack_p50_seconds": self.ack_p50,
-            "ack_p99_seconds": self.ack_p99,
             "final_sequence": dict(sorted(self.final_sequence.items())),
         }
 
@@ -227,8 +223,4 @@ async def run_traffic(gateway: ServingGateway,
                                       np.atleast_2d(stream), fault, report))
     await asyncio.gather(*drivers)
     report.elapsed_seconds = time.perf_counter() - started
-    histogram = gateway.registry.histogram("gateway.ack_seconds")
-    if histogram.count:
-        report.ack_p50 = histogram.quantile(0.5)
-        report.ack_p99 = histogram.quantile(0.99)
     return report

@@ -87,28 +87,6 @@ class SpectralFallbackScorer:
             raise RuntimeError("call fit() before score()")
         return self._distance(self._normalised_spectrum(window_values))
 
-    @property
-    def reference(self) -> np.ndarray:
-        """The calibrated ``(features, bins)`` mean normalised spectrum."""
-        if not self.fitted:
-            raise RuntimeError("call fit() before reading the reference")
-        return self._reference
-
-    def feature_drift(self, window_values: np.ndarray) -> np.ndarray:
-        """Per-feature spectral KL of one window against the reference.
-
-        The diagnosis layer's drift evidence: which features' amplitude
-        spectra have moved away from the calibration-time normality, and
-        by how much.  Shape ``(features,)``.
-        """
-        if not self.fitted:
-            raise RuntimeError("call fit() before feature_drift()")
-        spectrum = self._normalised_spectrum(window_values)
-        return np.array([
-            spectral_kl_divergence(feature, reference)
-            for feature, reference in zip(spectrum, self._reference)
-        ])
-
     def _normalised_spectrum(self, window_values: np.ndarray) -> np.ndarray:
         window_values = np.atleast_2d(np.asarray(window_values, dtype=float))
         amplitude = rfft_amplitude(window_values.T)     # (features, bins)

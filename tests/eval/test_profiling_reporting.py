@@ -15,7 +15,6 @@ from repro.eval import (
     paper_vs_measured,
     profile_call,
 )
-from repro.obs.tracing import disable_tracing, enable_tracing
 
 
 class TestProfiler:
@@ -33,11 +32,6 @@ class TestProfiler:
     def test_propagates_exceptions(self):
         with pytest.raises(RuntimeError):
             profile_call(lambda: (_ for _ in ()).throw(RuntimeError("x")).__next__())
-
-    def test_as_row(self):
-        profile = profile_call(lambda: None)
-        seconds, megabytes = profile.as_row()
-        assert seconds >= 0 and megabytes >= 0
 
 
 class TestProfilerReentrancy:
@@ -63,21 +57,6 @@ class TestProfilerReentrancy:
             assert profile.peak_memory_mb > 3.0
         finally:
             tracemalloc.stop()
-
-    def test_breakdown_with_tracing_enabled(self):
-        enable_tracing()
-        try:
-            profile = profile_call(lambda: None)
-        finally:
-            disable_tracing()
-        # The wrapping "profile" span is attributed in the breakdown.
-        assert "profile" in profile.breakdown
-        assert profile.component_seconds("profile") >= 0.0
-
-    def test_breakdown_empty_when_tracing_disabled(self):
-        profile = profile_call(lambda: None)
-        assert profile.breakdown == {}
-        assert profile.component_seconds("anything") == 0.0
 
 
 class TestTables:

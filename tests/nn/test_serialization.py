@@ -1,5 +1,8 @@
 """Saving and loading module state."""
 
+import os
+import stat
+
 import numpy as np
 
 from repro import nn
@@ -41,3 +44,24 @@ def test_batchnorm_buffers_survive(tmp_path, rng):
     load_module(clone, path)
     np.testing.assert_allclose(clone.running_mean, bn.running_mean)
     np.testing.assert_allclose(clone.running_var, bn.running_var)
+
+
+def test_save_fsyncs_archive_before_rename(tmp_path, monkeypatch):
+    """The archive's bytes reach the disk before its name does."""
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(descriptor):
+        calls.append(("fsync", stat.S_ISREG(os.fstat(descriptor).st_mode)))
+        return real_fsync(descriptor)
+
+    def replace(source, destination):
+        calls.append(("replace", None))
+        return real_replace(source, destination)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    save_state({"x": np.arange(3.0)}, tmp_path / "weights.npz")
+    assert ("replace", None) in calls
+    before_rename = calls[:calls.index(("replace", None))]
+    assert ("fsync", True) in before_rename
