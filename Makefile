@@ -73,7 +73,7 @@ quality:
 	$(PYTHON) benchmarks/quality.py $(QUALITY_ARGS)
 
 # Telemetry overhead gate: the instrumented (tracing-disabled, default)
-# seeded 2-epoch trainer run, over 7 paired rounds (median of per-round
+# seeded 2-epoch trainer run, over 15 paired rounds (median of per-round
 # differences), must stay within 3% of the span-stripped baseline or
 # within 10 ms of it — an effective budget of max(3%, 10 ms / baseline),
 # which the verdict line prints.  Writes no file.

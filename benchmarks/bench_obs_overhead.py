@@ -8,8 +8,10 @@ no-op'd out — paired rounds, order alternating, median of per-round
 differences — and fails when the disabled-path instrumentation costs
 more than the budget: 3% relative, or at most a 10 ms absolute floor so
 scheduler jitter on a fast run cannot trip the ratio.  The floor makes
-the effective budget ``max(3%, 10 ms / baseline)`` — about 7.7% on a
-0.13 s fit — and the verdict line prints it.
+the effective budget ``max(3%, 10 ms / baseline)`` — about 18% on a
+0.056 s fit (2-vCPU host, one BLAS thread) — and the verdict line prints
+it.  Fifteen paired rounds keep the median steady when a neighbour
+process slows a few of them.
 
 It prints one verdict line, exits non-zero when over budget, and writes
 no file.  Per-layer and serving-latency numbers come from the benchmark
@@ -29,7 +31,7 @@ from repro.core import MaceConfig, MaceDetector
 from repro.data import load_dataset
 from repro.obs.tracing import disable_tracing
 
-REPEATS = 7            # paired rounds (one run per arm each)
+REPEATS = 15           # paired rounds (one run per arm each)
 RELATIVE_BUDGET = 0.03  # relative budget; ABSOLUTE_FLOOR can widen it
 ABSOLUTE_FLOOR = 0.010  # seconds; scheduler jitter can exceed 3% of a fast run
 

@@ -70,6 +70,17 @@ class FrequencyCharacterization(Module):
         # when it is freed, so a new subspace never finds another's markers.
         self._marker_cache = weakref.WeakKeyDictionary()
 
+    def __getstate__(self) -> dict:
+        # The marker cache is rebuilt on demand, and a WeakKeyDictionary
+        # cannot be pickled.
+        state = self.__dict__.copy()
+        del state["_marker_cache"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._marker_cache = weakref.WeakKeyDictionary()
+
     def _markers(self, subspace: ServiceSubspace) -> np.ndarray:
         """``(m, 2, 2k)`` sine and cosine marker channels of ``subspace``,
         built once per subspace and dtype."""

@@ -142,6 +142,13 @@ class DualisticConv1d(Module):
         # parameter or buffer, so never in ``state_dict()``.
         self._scoring_operands: tuple = ()
 
+    def __getstate__(self) -> dict:
+        # The scoring operands are rebuilt on demand; a pickle need not
+        # carry them.
+        state = self.__dict__.copy()
+        state["_scoring_operands"] = ()
+        return state
+
     def _kernel(self) -> Tensor:
         if self.learnable:
             return self.weight.abs()
@@ -191,26 +198,40 @@ class DualisticConv1d(Module):
         return cached[2], cached[3]
 
     def forward(self, x: Tensor) -> Tensor:
+        return self._forward(x, lambda powered, kernel: F.conv1d(
+            powered, kernel, stride=self.stride, padding=self.padding))
+
+    def forward_tiles(self, tiles: Tensor) -> Tensor:
+        """:meth:`forward` for ``stride == kernel_size`` and no padding,
+        from the ``(C, K, R, L)`` tiles of its input (``F.tile``) to the
+        ``(O, R, L)`` product layout (``F.conv1d_tiles``).  The same ops on
+        the same values, so the result and the weight's gradient are
+        bitwise equal to ``forward``'s, and so is the input's gradient
+        once ``F.tile``'s adjoint untiles it."""
+        self._require_tiling()
+        return self._forward(tiles, F.conv1d_tiles, tiled=True)
+
+    def _forward(self, x: Tensor, conv, tiled: bool = False) -> Tensor:
+        """The taped steps around ``conv(powered, kernel)``."""
         gamma = float(self.gamma)
-        if self.mode == "valley" and self.valley_mode == "negative_gamma":
+        if self._literal():
             # Literal γ < −1: power the ε-clamped magnitude to −γ, keep sign.
             clamped = x.abs().clip(self.eps, np.inf) \
                 * Tensor(self._directions(x.data))
             powered = odd_power(clamped, -gamma) * (1.0 / self.sigma)
-            conv = F.conv1d(powered, self._kernel(), stride=self.stride,
-                            padding=self.padding)
-            return odd_root(conv, -gamma)
+            return odd_root(conv(powered, self._kernel()), -gamma)
         # Valley is -peak(-x).  ``+ self.shift`` stays even at 0.0: it turns
         # a -0.0 input into +0.0, whose sign odd_power would otherwise keep.
         negate = self.mode == "valley"
         kernel = self._kernel()
         shifted = (x * -1.0 if negate else x) + self.shift
         powered = odd_power(shifted, gamma) * (1.0 / self.sigma)
-        conv = F.conv1d(powered, kernel, stride=self.stride,
-                        padding=self.padding)
-        root = odd_root(conv, gamma)
+        root = odd_root(conv(powered, kernel), gamma)
         if self.shift:
-            root = root - Tensor(self._shift_correction(kernel.data))
+            correction = self._shift_correction(kernel.data)
+            if tiled:
+                correction = correction.reshape(-1, 1, 1)
+            root = root - Tensor(correction)
         return root * -1.0 if negate else root
 
     def forward_array(self, x: np.ndarray) -> np.ndarray:
@@ -225,19 +246,19 @@ class DualisticConv1d(Module):
                            padding=self.padding)[0]
         return self._root_array(y, correction)
 
-    def forward_tiles(self, tiles: np.ndarray) -> np.ndarray:
-        """:meth:`forward_array` for ``stride == kernel_size`` and no
-        padding, from the ``(C, K, R, L)`` tiles of its input
-        (``F.tile_array``) to the ``(O, R, L)`` product layout
-        (``F.conv1d_tiles``).  The same steps on the same values, so the
-        result is bitwise equal to ``forward_array``'s, transposed."""
-        if self.stride != self.kernel_size or self.padding:
-            raise ValueError("tiles need stride == kernel_size and no padding")
+    def forward_tiles_array(self, tiles: np.ndarray) -> np.ndarray:
+        """:meth:`forward_tiles` on a plain array, without a tape
+        (``F.tile_array`` to ``F.conv1d_tiles_array``), bitwise equal."""
+        self._require_tiling()
         kernel, correction = self._scoring_kernel()
-        y = F.conv1d_tiles(self._power_array(tiles), kernel)
+        y = F.conv1d_tiles_array(self._power_array(tiles), kernel)
         if correction is not None:
             correction = correction.reshape(-1, 1, 1)
         return self._root_array(y, correction)
+
+    def _require_tiling(self) -> None:
+        if self.stride != self.kernel_size or self.padding:
+            raise ValueError("tiles need stride == kernel_size and no padding")
 
     def _literal(self) -> bool:
         return self.mode == "valley" and self.valley_mode == "negative_gamma"

@@ -27,7 +27,7 @@ from repro.nn import functional as F
 from repro.nn.modules.activations import LeakyReLU
 from repro.nn.modules.base import Module
 from repro.nn.modules.conv import Conv1d, ConvTranspose1d
-from repro.nn.tensor import Tensor, maximum, pad1d
+from repro.nn.tensor import Tensor, maximum
 
 __all__ = ["MaceConfig", "MaceOutput", "MaceModel"]
 
@@ -155,31 +155,34 @@ class _Branch(Module):
         return self.kernel - remainder if remainder else 0
 
     def forward(self, representation: Tensor, width: int) -> Tensor:
-        """``(N*m, C, 2k) -> (N*m, 2k)`` reconstructed spectrum."""
-        padding = self._padding(representation.shape[-1])
-        padded = representation
-        if padding:
-            padded = pad1d(representation, 0, padding)
-        latent = self.encoder(padded)
-        decoded = self.activation(self.decoder(latent))
-        spectrum = self.head(decoded)  # (N*m, 1, padded_width)
-        return spectrum[:, 0, :width]
+        """``(N*m, C, 2k) -> (N*m, width)`` reconstructed spectrum.
+
+        Every step runs in the encoder's tiled layout
+        (``nn.functional``'s tiled ops): the representation is tiled
+        once, the encoder's product is the decoder's input matrix, the
+        decoder's product its output tiles, and the one-channel head
+        emits the cropped spectrum.  Its values and gradients are those
+        of the untiled ``pad1d``, ``conv1d``, ``conv_transpose1d``,
+        ``conv1d`` and ``getitem`` stack, bit for bit
+        (``tests/core/test_tiled_training.py`` keeps that stack as the
+        reference).
+        """
+        decoder, head = self.decoder, self.head
+        y = self.encoder.forward_tiles(F.tile(representation, self.kernel))
+        y = F.conv_transpose1d_tiles(y, decoder.weight, decoder.bias)
+        y = self.activation(y)  # (C, K, N*m, L)
+        return F.pointwise_conv1d_tiles(y, head.weight, head.bias, width)
 
     def forward_array(self, tiles: np.ndarray, width: int) -> np.ndarray:
         """:meth:`forward` on the ``(C, K, N*m, L)`` tiles of its padded
         input (``F.tile_array``), without a tape: ``(N*m, width)``, bitwise
-        equal.
-
-        Every step stays in the tiled layout: the encoder's product is the
-        decoder's input matrix, the decoder's product its output tiles,
-        and only the head's one-channel result is untiled.
-        """
+        equal.  The same kernels :meth:`forward`'s ops run forward."""
         decoder, head = self.decoder, self.head
-        y = self.encoder.forward_tiles(tiles)  # (2C, N*m, L)
-        y = F.conv_transpose1d_tiles(y, decoder.weight.data,
-                                     decoder.bias.data)  # (C, K, N*m, L)
+        y = self.encoder.forward_tiles_array(tiles)  # (2C, N*m, L)
+        y = F.conv_transpose1d_tiles_array(y, decoder.weight.data,
+                                           decoder.bias.data)  # (C, K, N*m, L)
         y = F.leaky_relu_array(y, self.activation.negative_slope)
-        y = F.pointwise_conv1d_tiles(y, head.weight.data, head.bias.data)
+        y = F.pointwise_conv1d_tiles_array(y, head.weight.data, head.bias.data)
         return y[:, 0, :width]
 
 
@@ -254,6 +257,25 @@ class MaceModel(Module):
         amplified = (
             self.amplifier(windows) if self.config.use_time_amplifier else windows
         )
+        return self.reconstruct(amplified, extractor, service_id)
+
+    def amplify_array(self, windows: np.ndarray) -> np.ndarray:
+        """Stage 1 on a plain array: ``(N, T, m)`` windows cast to the
+        model's dtype and amplified, without a tape, bitwise equal to
+        :meth:`forward`'s.  The amplifier has no trainable weight, so the
+        trainer amplifies each service's windows once per fit here."""
+        if windows.ndim != 3:
+            raise ValueError("windows must be (N, T, m)")
+        if windows.dtype != self.dtype:
+            windows = windows.astype(self.dtype)
+        if not self.config.use_time_amplifier:
+            return windows
+        return self.amplifier.forward_array(windows)
+
+    def reconstruct(self, amplified: Tensor, extractor: PatternExtractor,
+                    service_id: str) -> MaceOutput:
+        """Stages 2-4 for one service's batch of amplified windows: the
+        taped part of :meth:`forward`, and all of training's."""
         dft, idft = extractor.transforms(service_id, self.dtype)
         subspace = extractor.subspace(service_id)
         coeffs = dft(amplified)  # (N, m, 2k)
@@ -271,22 +293,13 @@ class MaceModel(Module):
         """:meth:`forward` then :meth:`timestep_errors`, on plain arrays.
 
         Scoring never calls ``backward``, so it builds no ``Tensor`` and
-        no tape.  The amplifier, the DFT, the characterization and the
-        IDFT run their modules' ``forward_array``, the kernels the taped
-        ops call, on the same layouts.  The branches run in the
-        encoder's im2col layout instead: the representation is tiled once
-        for both, and each branch takes the taped path's products on the
-        same operand matrices, less the copies between layouts
-        (:meth:`_Branch.forward_array`).  So the ``(N, T)`` errors are
-        bitwise equal to the taped path's at every batch size
+        no tape.  Every stage runs its module's ``forward_array``, the
+        kernels the taped ops call, on the same layouts; the branches
+        share one tiling of the representation.  So the ``(N, T)`` errors
+        are bitwise equal to the taped path's at every batch size
         (``tests/core/test_tape_free.py``).
         """
-        if windows.ndim != 3:
-            raise ValueError("windows must be (N, T, m)")
-        if windows.dtype != self.dtype:
-            windows = windows.astype(self.dtype)
-        amplified = (self.amplifier.forward_array(windows)
-                     if self.config.use_time_amplifier else windows)
+        amplified = self.amplify_array(windows)
         # Each ``del`` frees a chunk-sized array the later stages never
         # read, so it does not add to the chunk's peak memory.
         del windows

@@ -128,6 +128,9 @@ class MaceTrainer:
             on_fit_start = getattr(checkpointer, "on_fit_start", None)
             if on_fit_start is not None:
                 on_fit_start(self, optimizer)
+        # The amplifier has no trainable weight: each service's windows
+        # are amplified once here, and every batch is gathered from them.
+        dataset = dataset.map(self.model.amplify_array)
         self.model.train()
         # Telemetry (DESIGN.md §11): metric objects are resolved once per
         # fit and only touched at epoch granularity; the per-batch cost is
@@ -148,9 +151,9 @@ class MaceTrainer:
                         dataset.batches(self.config.batch_size, self.rng)):
                     with span("trainer.batch"):
                         optimizer.zero_grad()
-                        output = self.model(Tensor(batch.windows),
-                                            self.extractor,
-                                            batch.service_id)
+                        output = self.model.reconstruct(
+                            Tensor(batch.windows), self.extractor,
+                            batch.service_id)
                         loss = self.model.loss(output)
                         if batch_hook is not None:
                             replacement = batch_hook(epoch, batch_index, loss)

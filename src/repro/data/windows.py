@@ -7,8 +7,9 @@ per-window, per-timestep errors (averaging overlaps).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -84,6 +85,15 @@ class WindowDataset:
     @property
     def num_windows(self) -> int:
         return sum(w.shape[0] for w in self._windows)
+
+    def map(self, fn: Callable[[np.ndarray], np.ndarray]) -> "WindowDataset":
+        """This dataset over ``fn`` of each service's ``(W, window, m)``
+        windows, computed once.  Its batches hold ``fn(windows)[picks]``
+        for the picks this dataset draws from the same generator, so a
+        per-window transform runs once rather than on every batch."""
+        mapped = copy.copy(self)
+        mapped._windows = [fn(windows) for windows in self._windows]
+        return mapped
 
     def batches(self, batch_size: int, rng: np.random.Generator | None = None,
                 shuffle: bool = True) -> Iterator[WindowBatch]:

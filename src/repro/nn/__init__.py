@@ -2,7 +2,7 @@
 
 This substrate replaces PyTorch for the reproduction: a reverse-mode
 autograd :class:`~repro.nn.tensor.Tensor`, layer modules, optimizers and
-schedulers.  Public surface mirrors familiar ``torch``/``torch.nn`` names.
+serialization.  Public surface mirrors familiar ``torch``/``torch.nn`` names.
 """
 
 from repro.nn import functional, init, random
@@ -34,7 +34,6 @@ from repro.nn.modules import (
     TransformerEncoderLayer,
 )
 from repro.nn.optim import SGD, Adam, AdamW, Optimizer, clip_grad_norm
-from repro.nn.schedulers import CosineAnnealingLR, ExponentialLR, LRScheduler, StepLR
 from repro.nn.serialization import load_module, load_state, save_module, save_state
 from repro.nn.tensor import (
     Parameter,
@@ -71,7 +70,6 @@ __all__ = [
     "TransformerEncoderLayer",
     # optim
     "Optimizer", "SGD", "Adam", "AdamW", "clip_grad_norm",
-    "LRScheduler", "StepLR", "ExponentialLR", "CosineAnnealingLR",
     # io
     "save_state", "load_state", "save_module", "load_module",
     # submodules

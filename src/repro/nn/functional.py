@@ -6,7 +6,9 @@ reshape when the windows tile the axis exactly, a strided view otherwise.
 Each of the six contractions — the forward pass and the input and weight
 adjoints of ``conv1d`` and ``conv_transpose1d`` — is then a single 2-D
 ``@`` with the **weight first** (for a weight gradient, the activation or
-its windows come first).
+its windows come first).  The ops on the tiled layout (below) take the
+same contractions on the same operands; with non-overlapping windows
+their input adjoints need no overlap-add.
 
 The operand order and memory layout are the ones
 ``np.einsum(..., optimize=True)`` hands to ``matmul`` for the same
@@ -49,10 +51,14 @@ __all__ = [
     "conv1d_array",
     "conv_transpose1d",
     "conv_transpose1d_array",
+    "tile",
     "tile_array",
     "conv1d_tiles",
+    "conv1d_tiles_array",
     "conv_transpose1d_tiles",
+    "conv_transpose1d_tiles_array",
     "pointwise_conv1d_tiles",
+    "pointwise_conv1d_tiles_array",
     "avg_pool1d",
     "max_pool1d",
     "linear",
@@ -353,10 +359,25 @@ def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 # A stack of convolutions whose windows tile the axis (stride == kernel, no
 # padding) can stay in one layout from input to output: the im2col operand
 # of ``conv1d_array``, ``tiles[c, k, r, l] = x[r, c, l*K + k]``, shape
-# ``(C, K, R, L)``.  Each kernel below takes the product its ``*_array``
-# counterpart takes, on the same operand matrices (``tile_array`` keeps
-# ``conv1d_array``'s layout), so the values are bitwise equal; only the
-# copies into and out of the product's layout are gone.
+# ``(C, K, R, L)``.  Each ``*_array`` kernel below takes the product its
+# untiled counterpart takes, on the same operand matrices (``tile_array``
+# keeps ``conv1d_array``'s layout), so the values are bitwise equal; only
+# the copies into and out of the product's layout are gone.
+#
+# The taped ops (:func:`tile`, :func:`conv1d_tiles`,
+# :func:`conv_transpose1d_tiles`, :func:`pointwise_conv1d_tiles`) run
+# those kernels forward and train in the same layout.  With
+# ``stride == kernel`` every window is disjoint, so each input gradient is
+# a reshape of the one product the untiled adjoint takes: no
+# ``_overlap_add``, no zero-filled array and no im2col rebuild.  The
+# overlap-add's ``0.0 + contribution`` (``-0.0`` comes out ``+0.0``) stays
+# where the untiled ``conv1d`` applies it, on the convolutions' input
+# gradients; ``tile``'s adjoint is ``pad1d``'s crop.  An elementwise step
+# between the two (the valley's negation) would otherwise flip a zero's
+# sign.  Every weight and bias gradient takes the untiled adjoint's
+# operand in its column order and memory layout, copied out of the tiles
+# where the untiled adjoint had it by a view: BLAS may round a permuted or
+# transposed operand differently.
 
 def tile_array(x: np.ndarray, kernel: int) -> np.ndarray:
     """``(R, C, W)`` to its ``(C, K, R, L)`` tiles: ``conv1d_array``'s
@@ -375,13 +396,55 @@ def tile_array(x: np.ndarray, kernel: int) -> np.ndarray:
     return cols.reshape(channels, kernel, rows, length)
 
 
-def conv1d_tiles(tiles: np.ndarray, weight: np.ndarray) -> np.ndarray:
+def _untiled(tiles: np.ndarray) -> np.ndarray:
+    """``(C, K, R, L)`` tiles as the C-ordered ``(R, C, L, K)`` array that
+    untiles them: the layout the untiled ops hold a gradient in."""
+    return np.ascontiguousarray(tiles.transpose(2, 0, 3, 1))
+
+
+def _tile_matrix(tiles: np.ndarray) -> np.ndarray:
+    """The ``(C*K, R*L)`` matrix ``_matrix`` makes of the window view of
+    the untiled array: the tiles themselves, reshaped, unless an axis has
+    size 1, where ``_matrix`` keeps the untiled array's stride order."""
+    channels, kernel, rows, length = tiles.shape
+    if 1 not in tiles.shape:
+        return tiles.reshape(channels * kernel, rows * length)
+    return _matrix(_untiled(tiles).transpose(1, 3, 0, 2),
+                   channels * kernel, rows * length)
+
+
+def tile(x: Tensor, kernel: int) -> Tensor:
+    """``(R, C, W)`` to its ``(C, K, R, L)`` tiles (:func:`tile_array`),
+    zero-padded to a multiple of ``K``: ``pad1d`` ahead of a stride-``K``
+    :func:`conv1d`, in that convolution's im2col layout.
+
+    The adjoint untiles the gradient into a C-ordered ``(R, C, L*K)``
+    array and crops the padding by a view, as ``pad1d``'s adjoint crops
+    the untiled gradient: the same values in the same layout.
+    """
+    rows, channels, width = x.shape
+    tiles = tile_array(x.data, kernel)
+    length = tiles.shape[-1]
+
+    def backward(grad):
+        if x.requires_grad:
+            padded = np.empty((rows, channels, length * kernel), dtype=grad.dtype)  # noqa: REP110 - the next line writes every element
+            padded.reshape(rows, channels, length, kernel)[...] = \
+                grad.transpose(2, 0, 3, 1)
+            x._accumulate(padded[..., :width])
+
+    return Tensor._from_op(tiles, (x,), backward, "tile",
+                           attrs={"kernel": int(kernel),
+                                  "padding": int(length * kernel - width)})
+
+
+def conv1d_tiles_array(tiles: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """:func:`conv1d_array` with ``stride == K``, no padding and no bias, on
     ``(C, K, R, L)`` tiles: the ``(O, R, L)`` product.
 
     ``conv1d_array`` returns this product as its ``(R, O, L)`` transpose,
     and ``conv_transpose1d_array`` takes that transpose back to this
-    ``(O, R*L)`` matrix, so it is also :func:`conv_transpose1d_tiles`'s
+    ``(O, R*L)`` matrix, so it is also :func:`conv_transpose1d_tiles_array`'s
     input.
     """
     c_in, kernel, rows, length = tiles.shape
@@ -391,8 +454,40 @@ def conv1d_tiles(tiles: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return out.reshape(c_out, rows, length)
 
 
-def conv_transpose1d_tiles(x: np.ndarray, weight: np.ndarray,
-                           bias: np.ndarray | None = None) -> np.ndarray:
+def conv1d_tiles(tiles: Tensor, weight: Tensor) -> Tensor:
+    """:func:`conv1d` with ``stride == K``, no padding and no bias, from
+    ``(C, K, R, L)`` tiles to the ``(O, R, L)`` product
+    (:func:`conv1d_tiles_array`).
+
+    The weight gradient is ``cols @ grad(R*L, O)`` and the input gradient
+    ``W(C*K, O) @ grad(O, R*L)``, :func:`conv1d`'s products on the same
+    operands; the latter, plus the overlap-add's ``0.0``, already holds
+    the input's gradient tiles.
+    """
+    c_in, kernel, rows, length = tiles.shape
+    c_out = weight.shape[0]
+    out = conv1d_tiles_array(tiles.data, weight.data)
+
+    def backward(grad):
+        if weight.requires_grad:
+            cols = tiles.data.reshape(c_in * kernel, rows * length)
+            grad_rows = _matrix(grad.transpose(1, 2, 0), rows * length, c_out)
+            weight._accumulate(_product(cols, grad_rows)
+                               .reshape(c_in, kernel, c_out).transpose(2, 0, 1))
+        if tiles.requires_grad:
+            grad_cols = _product(
+                _matrix(weight.data.transpose(1, 2, 0), c_in * kernel, c_out),
+                _matrix(grad, c_out, rows * length))
+            grad_cols += 0.0  # the overlap-add's 0.0 + contribution
+            tiles._accumulate(grad_cols.reshape(c_in, kernel, rows, length))
+
+    return Tensor._from_op(out, (tiles, weight), backward, "conv1d_tiles",
+                           attrs={"kernel": int(kernel),
+                                  "in_channels": int(c_in)})
+
+
+def conv_transpose1d_tiles_array(x: np.ndarray, weight: np.ndarray,
+                                 bias: np.ndarray | None = None) -> np.ndarray:
     """:func:`conv_transpose1d_array` with ``stride == K`` and no padding,
     from its ``(C_in, R, L)`` input matrix to the ``(O, K, R, L)`` tiles of
     its output.
@@ -413,8 +508,49 @@ def conv_transpose1d_tiles(x: np.ndarray, weight: np.ndarray,
     return out
 
 
-def pointwise_conv1d_tiles(tiles: np.ndarray, weight: np.ndarray,
-                           bias: np.ndarray | None = None) -> np.ndarray:
+def conv_transpose1d_tiles(x: Tensor, weight: Tensor,
+                           bias: Tensor | None = None) -> Tensor:
+    """:func:`conv_transpose1d` with ``stride == K`` and no padding, from
+    the ``(C_in, R, L)`` product layout to ``(O, K, R, L)`` tiles
+    (:func:`conv_transpose1d_tiles_array`).
+
+    The gradient tiles, read as ``(O*K, R*L)``, are the windows matrix
+    :func:`conv_transpose1d`'s input gradient multiplies, so that
+    gradient is ``W(C_in, O*K) @ grad`` with no copy.  The weight and
+    bias gradients read the untiled gradient, as there.
+    """
+    c_in, rows, length = x.shape
+    _, c_out, kernel = weight.shape
+    out = conv_transpose1d_tiles_array(x.data, weight.data,
+                                       None if bias is None else bias.data)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(grad):
+        if x.requires_grad:
+            x._accumulate(_product(_matrix(weight.data, c_in, c_out * kernel),
+                                   _tile_matrix(grad))
+                          .reshape(c_in, rows, length))
+        weight_grad = weight.requires_grad
+        bias_grad = bias is not None and bias.requires_grad
+        if weight_grad or bias_grad:
+            untiled = _untiled(grad)  # (R, O, L, K)
+            if weight_grad:
+                grad_rows = _matrix(untiled.transpose(0, 2, 1, 3),
+                                    rows * length, c_out * kernel)
+                weight._accumulate(_product(_matrix(x.data, c_in, rows * length),
+                                            grad_rows)
+                                   .reshape(c_in, c_out, kernel))
+            if bias_grad:
+                bias._accumulate(untiled.reshape(rows, c_out, length * kernel)
+                                 .sum(axis=(0, 2)))
+
+    return Tensor._from_op(out, parents, backward, "conv_transpose1d_tiles",
+                           attrs={"stride": int(kernel), "kernel": int(kernel),
+                                  "in_channels": int(c_in)})
+
+
+def pointwise_conv1d_tiles_array(tiles: np.ndarray, weight: np.ndarray,
+                                 bias: np.ndarray | None = None) -> np.ndarray:
     """:func:`conv1d_array` with a one-tap ``(O, C, 1)`` kernel on
     ``(C, K, R, L)`` tiles: its ``(R, O, L*K)`` output, untiled.
 
@@ -434,14 +570,65 @@ def pointwise_conv1d_tiles(tiles: np.ndarray, weight: np.ndarray,
         order = (2, 0, 3, 1)  # (O, K, R, L) -> (R, O, L, K)
         shape = (c_out, kernel, rows, length)
     else:
-        cols = tiles.transpose(0, 2, 3, 1).reshape(c_in, -1)
-        out = _product(w, cols)
+        out = _product(w, _pointwise_cols(tiles))
         order = (1, 0, 2)  # (O, R, L*K) -> (R, O, L*K)
         shape = (c_out, rows, length * kernel)
     if bias is not None:
         out += bias[:, None]
     return out.reshape(shape).transpose(order).reshape(
         rows, c_out, length * kernel)
+
+
+def _pointwise_cols(tiles: np.ndarray) -> np.ndarray:
+    """The C-ordered ``(C, R*L*K)`` im2col matrix of a one-tap
+    ``conv1d_array`` on the untiled input, copied out of the tiles."""
+    return tiles.transpose(0, 2, 3, 1).reshape(tiles.shape[0], -1)
+
+
+def pointwise_conv1d_tiles(tiles: Tensor, weight: Tensor,
+                           bias: Tensor | None, width: int) -> Tensor:
+    """:func:`conv1d` with a one-tap, one-output-channel ``(1, C, 1)``
+    kernel on ``(C, K, R, L)`` tiles, untiled and cropped to
+    ``(R, width)``: :func:`pointwise_conv1d_tiles_array`'s
+    ``[:, 0, :width]``.
+
+    The adjoint pads the gradient back to ``(R, 1, L*K)`` as ``getitem``'s
+    adjoint does (``0.0 + grad``), and takes :func:`conv1d`'s weight and
+    bias gradients on it.  With one output channel the input gradient is
+    an outer product, computed straight in the tiles' column order, plus
+    the overlap-add's ``0.0``.
+    """
+    c_in, kernel, rows, length = tiles.shape
+    if weight.shape[0] != 1 or weight.shape[2] != 1:
+        raise ValueError("pointwise_conv1d_tiles expects a (1, C, 1) weight")
+    padded = length * kernel
+    out = pointwise_conv1d_tiles_array(
+        tiles.data, weight.data, None if bias is None else bias.data)
+    parents = (tiles, weight) if bias is None else (tiles, weight, bias)
+
+    def backward(grad):
+        if width == padded:
+            full = (grad + 0.0).reshape(rows, 1, padded)
+        else:
+            full = np.zeros((rows, 1, padded), dtype=grad.dtype)
+            full[:, 0, :width] += grad
+        if weight.requires_grad:
+            grad_rows = _matrix(full.transpose(0, 2, 1), rows * padded, 1)
+            weight._accumulate(_product(_pointwise_cols(tiles.data), grad_rows)
+                               .reshape(c_in, 1, 1).transpose(2, 0, 1))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(full.sum(axis=(0, 2)))
+        if tiles.requires_grad:
+            # (K, R, L): the gradient in the tiles' column order.
+            columns = full.reshape(rows, length, kernel).transpose(2, 0, 1)
+            grad_tiles = _matrix(weight.data.transpose(1, 2, 0), c_in, 1) \
+                * columns.reshape(1, kernel * rows * length)
+            grad_tiles += 0.0
+            tiles._accumulate(grad_tiles.reshape(c_in, kernel, rows, length))
+
+    return Tensor._from_op(out[:, 0, :width], parents, backward,
+                           "pointwise_conv1d_tiles",
+                           attrs={"kernel": 1, "in_channels": int(c_in)})
 
 
 def avg_pool1d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:

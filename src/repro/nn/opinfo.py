@@ -273,6 +273,12 @@ def _t_pad1d(ctx: OpContext) -> Interval:
     return ctx.ins[0].union(Interval.point(float(ctx.attrs.get("value", 0.0))))
 
 
+def _t_tile(ctx: OpContext) -> Interval:
+    if int(ctx.attrs.get("padding", 0)) == 0:
+        return ctx.ins[0]
+    return ctx.ins[0].union(Interval.point(0.0))
+
+
 def _conv_product(ctx: OpContext) -> Interval:
     product = ctx.ins[0].mul(ctx.ins[1])
     bias = ctx.ins[2] if len(ctx.ins) > 2 else None
@@ -334,6 +340,11 @@ OP_INFO: Dict[str, Callable[[OpContext], Interval]] = {
     "pad1d": _t_pad1d,
     "conv1d": _t_conv1d,
     "conv_transpose1d": _t_conv_transpose1d,
+    # The tiled layout (nn.functional): the same bounds as the untiled ops.
+    "tile": _t_tile,
+    "conv1d_tiles": _t_conv1d,
+    "conv_transpose1d_tiles": _t_conv_transpose1d,
+    "pointwise_conv1d_tiles": _t_conv1d,
     "avg_pool1d": _t_identity,
     "max_pool1d": _t_identity,
 }

@@ -173,11 +173,14 @@ class TestMaceModel:
             if node._backward is not None:
                 ops[node._op] += 1
         assert sum(ops.values()) == 47
+        # Each branch: tile, conv1d_tiles, conv_transpose1d_tiles and the
+        # pointwise head, which also crops (no getitem).
         assert ops == {
-            "abs": 2, "add": 2, "conv1d": 5, "conv_transpose1d": 2,
-            "getitem": 2, "leaky_relu": 2, "matmul": 2, "maximum": 1,
-            "mul": 9, "odd_power": 2, "odd_root": 2, "reshape": 6, "sub": 4,
-            "sum": 3, "tanh": 1, "transpose": 2,
+            "abs": 2, "add": 2, "conv1d": 1, "conv1d_tiles": 2,
+            "conv_transpose1d_tiles": 2, "leaky_relu": 2, "matmul": 2,
+            "maximum": 1, "mul": 9, "odd_power": 2, "odd_root": 2,
+            "pointwise_conv1d_tiles": 2, "reshape": 6, "sub": 4, "sum": 3,
+            "tanh": 1, "tile": 2, "transpose": 2,
         }
 
     def test_timestep_errors_shape(self, setup):

@@ -2,8 +2,8 @@
 
 ``MaceTrainer.window_errors`` scores through ``MaceModel.score_windows``,
 which runs every stage on plain arrays: no ``Tensor``, no tape, no
-``no_grad``.  The taped ``MaceModel.forward`` stays as the training path
-and as the reference here.  ``taped_window_errors`` below is the
+``no_grad``.  The taped ``MaceModel.forward``, whose stages 2-4 are the
+training path (``reconstruct``), stays as the reference here.  ``taped_window_errors`` below is the
 ``window_errors`` that scoring used before, verbatim.
 
 Both must give the same ``(W, T)`` errors bit for bit (``tobytes()``):

@@ -1,5 +1,7 @@
 """Trainer and detector end-to-end behaviour."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,19 @@ class TestDetector:
         detector.fit(["svc"], [train])
         scores = detector.score("svc", test)
         assert scores[labels].mean() > 1.5 * scores[~labels].mean()
+
+    def test_fitted_detector_pickles_to_the_same_scores(self, tiny_dataset):
+        """A spawn-started serving worker receives its detector by pickle.
+        Scoring first fills the operand caches, which the pickle drops and
+        the copy rebuilds."""
+        detector = MaceDetector(MaceConfig(epochs=1))
+        detector.fit([s.service_id for s in tiny_dataset],
+                     [s.train for s in tiny_dataset])
+        scores = [detector.score(s.service_id, s.test) for s in tiny_dataset]
+        copy = pickle.loads(pickle.dumps(detector))
+        for service, expected in zip(tiny_dataset, scores):
+            got = copy.score(service.service_id, service.test)
+            assert got.tobytes() == expected.tobytes()
 
     def test_unfitted_raises(self, tiny_dataset):
         detector = MaceDetector(_fast_config())

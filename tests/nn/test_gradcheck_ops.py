@@ -241,6 +241,70 @@ def test_grad_leaky_relu(seed):
     assert gradcheck(lambda a: F.leaky_relu(a, 0.1) + F.leaky_relu(a, -0.3), [x])
 
 
+# The tiled ops (``F.tile`` and the convolutions on its ``(C, K, R, L)``
+# layout).  Each output is weighted by fixed random values before the sum,
+# so an adjoint that permutes its gradient does not pass on all-ones.
+# Kernels 1, 3 and 5, one and several channels; width 7 leaves a padded
+# tile for kernels 3 and 5.
+TILE_CASES = [(1, 1, 7), (3, 1, 7), (3, 2, 6), (5, 3, 7), (5, 1, 10)]
+
+
+def _weighted(out, seed):
+    weights = np.random.default_rng(seed).uniform(0.5, 1.5, size=out.shape)
+    return out * Tensor(weights)
+
+
+@given(seed=st.integers(0, 10_000),
+       case=st.sampled_from(TILE_CASES))
+def test_grad_tile(seed, case):
+    kernel, channels, width = case
+    x = _tensor((2, channels, width), seed)
+    assert gradcheck(lambda a: _weighted(F.tile(a, kernel), seed), [x])
+
+
+@given(seed=st.integers(0, 10_000),
+       case=st.sampled_from(TILE_CASES),
+       c_out=st.sampled_from([1, 4]))
+def test_grad_conv1d_tiles(seed, case, c_out):
+    kernel, channels, width = case
+    x = _tensor((2, channels, width), seed)
+    w = _tensor((c_out, channels, kernel), seed + 1)
+    assert gradcheck(
+        lambda a, ww: _weighted(F.conv1d_tiles(F.tile(a, kernel), ww), seed),
+        [x, w],
+    )
+
+
+@given(seed=st.integers(0, 10_000),
+       case=st.sampled_from(TILE_CASES),
+       c_in=st.sampled_from([1, 4]))
+def test_grad_conv_transpose1d_tiles(seed, case, c_in):
+    kernel, c_out, length = case
+    x = _tensor((c_in, 2, length), seed)
+    w = _tensor((c_in, c_out, kernel), seed + 1)
+    b = _tensor((c_out,), seed + 2)
+    assert gradcheck(
+        lambda a, ww, bb: _weighted(F.conv_transpose1d_tiles(a, ww, bb), seed),
+        [x, w, b],
+    )
+
+
+@given(seed=st.integers(0, 10_000),
+       case=st.sampled_from(TILE_CASES))
+def test_grad_pointwise_conv1d_tiles(seed, case):
+    kernel, channels, width = case
+    length = -(-width // kernel)
+    tiles = _tensor((channels, kernel, 2, length), seed)
+    w = _tensor((1, channels, 1), seed + 1)
+    b = _tensor((1,), seed + 2)
+    # ``width`` crops the padded tile, where the kernel leaves one.
+    assert gradcheck(
+        lambda t, ww, bb: _weighted(
+            F.pointwise_conv1d_tiles(t, ww, bb, width), seed),
+        [tiles, w, b],
+    )
+
+
 def test_numerical_gradient_on_noncontiguous_storage():
     """Perturbations must reach non-contiguous storage (transposed views).
 

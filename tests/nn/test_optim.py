@@ -1,4 +1,4 @@
-"""Optimizers and schedulers: convergence on analytic problems."""
+"""Optimizers: convergence on analytic problems."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro import nn
 from repro.nn import Parameter, Tensor
 from repro.nn.optim import SGD, Adam, AdamW, clip_grad_norm
-from repro.nn.schedulers import CosineAnnealingLR, ExponentialLR, StepLR
 
 
 def _quadratic_steps(optimizer_factory, steps=200):
@@ -80,36 +79,6 @@ class TestClipGradNorm:
         param.grad = np.array([0.1, 0.1])
         clip_grad_norm([param], 10.0)
         np.testing.assert_allclose(param.grad, [0.1, 0.1])
-
-
-class TestSchedulers:
-    def _optimizer(self):
-        return SGD([Parameter(np.zeros(1))], lr=1.0)
-
-    def test_step_lr(self):
-        optimizer = self._optimizer()
-        scheduler = StepLR(optimizer, step_size=2, gamma=0.1)
-        rates = [scheduler.step() for _ in range(4)]
-        np.testing.assert_allclose(rates, [1.0, 0.1, 0.1, 0.01])
-
-    def test_exponential_lr(self):
-        optimizer = self._optimizer()
-        scheduler = ExponentialLR(optimizer, gamma=0.5)
-        assert scheduler.step() == 0.5
-        assert scheduler.step() == 0.25
-
-    def test_cosine_reaches_eta_min(self):
-        optimizer = self._optimizer()
-        scheduler = CosineAnnealingLR(optimizer, t_max=10, eta_min=0.05)
-        for _ in range(10):
-            last = scheduler.step()
-        np.testing.assert_allclose(last, 0.05, atol=1e-9)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            StepLR(self._optimizer(), step_size=0)
-        with pytest.raises(ValueError):
-            CosineAnnealingLR(self._optimizer(), t_max=0)
 
 
 class TestTrainingIntegration:
